@@ -14,10 +14,11 @@ import argparse
 import json
 import sys
 
-from .fdgrid import Grid2D
 from .harness import (
     CheckpointError,
     ConfigError,
+    _grid_for,
+    _parse_spacing,
     eval_checkpoint,
     export_field,
     load_config,
@@ -32,15 +33,6 @@ from .training import TrainingDiverged
 def _fail(kind: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
     return 1
-
-
-def _parse_grid_arg(value: str | None) -> float | None:
-    if value is None:
-        return None
-    if "/" in value:
-        num, den = value.split("/", 1)
-        return float(num) / float(den)
-    return float(value)
 
 
 def _cmd_run(args) -> int:
@@ -61,14 +53,19 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _grid_h(value: str | None) -> float | None:
+    """The --grid spacing, parsed like a config's; the harness checks it."""
+    return None if value is None else _parse_spacing(value, "--grid")
+
+
 def _cmd_eval(args) -> int:
-    summary = eval_checkpoint(args.checkpoint, grid_h=_parse_grid_arg(args.grid))
+    summary = eval_checkpoint(args.checkpoint, grid_h=_grid_h(args.grid))
     print(json.dumps(summary, indent=2))
     return 0
 
 
 def _cmd_export_field(args) -> int:
-    out = export_field(args.checkpoint, args.out, grid_h=_parse_grid_arg(args.grid))
+    out = export_field(args.checkpoint, args.out, grid_h=_grid_h(args.grid))
     print(str(out))
     return 0
 
@@ -78,7 +75,7 @@ def _cmd_mollifier_demo(args) -> int:
         eps_list = [float(e) for e in args.eps.split(",")]
     except ValueError:
         return _fail("usage", f"--eps must be comma-separated numbers, got {args.eps!r}")
-    grid = Grid2D(h=_parse_grid_arg(args.grid))
+    grid = _grid_for(_parse_spacing(args.grid, "--grid"), "--grid")
     target = target_by_name(args.target)
     rows = convergence_report(GAUSSIAN_BUMP, eps_list, target, grid,
                               quad_points=args.quad_points)

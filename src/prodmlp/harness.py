@@ -224,11 +224,11 @@ def _parse_train(v, path: str) -> dict:
     _check_keys(v, path, (), ("iterations", "batch_size", "samples",
                              "checkpoint_interval", "learning_rate", "adam"))
     out = {
-        "iterations": _as_int(v.get("iterations", 10_000), f"{path}.iterations", 1),
-        "batch_size": _as_int(v.get("batch_size", 2_048), f"{path}.batch_size", 1),
-        "samples": _as_int(v.get("samples", 50_000), f"{path}.samples", 1),
+        "iterations": _as_int(v.get("iterations", 10_000), f"{path}.iterations"),
+        "batch_size": _as_int(v.get("batch_size", 2_048), f"{path}.batch_size"),
+        "samples": _as_int(v.get("samples", 50_000), f"{path}.samples"),
         "checkpoint_interval": _as_int(
-            v.get("checkpoint_interval", 100), f"{path}.checkpoint_interval", 1
+            v.get("checkpoint_interval", 100), f"{path}.checkpoint_interval"
         ),
         "learning_rate": _as_number(v.get("learning_rate", 1e-3), f"{path}.learning_rate"),
     }
@@ -241,14 +241,18 @@ def _parse_train(v, path: str) -> dict:
         "beta2": _as_number(adam.get("beta2", 0.999), f"{path}.adam.beta2"),
         "epsilon": _as_number(adam.get("epsilon", 1e-8), f"{path}.adam.epsilon"),
     }
-    if out["batch_size"] > out["samples"]:
-        raise ConfigError(
-            f"{path}.batch_size ({out['batch_size']}) exceeds "
-            f"{path}.samples ({out['samples']})"
-        )
-    if not out["learning_rate"] > 0:
-        raise ConfigError(f"{path}.learning_rate must be positive")
+    try:
+        _train_config(out, seed=0)
+    except ValueError as e:
+        # TrainConfig's messages open with the offending field's name
+        field = str(e).split()[0]
+        raise ConfigError(f"{path}{'.adam' if field in out['adam'] else ''}.{e}")
     return out
+
+
+def _train_config(t: dict, seed: int) -> TrainConfig:
+    """A resolved train block's keys, adam's included, are TrainConfig fields."""
+    return TrainConfig(**{k: v for k, v in t.items() if k != "adam"}, **t["adam"], seed=seed)
 
 
 def _parse_metrics(v, path: str) -> dict:
@@ -290,14 +294,7 @@ class ExperimentConfig:
     digest: str
 
     def train_config(self, seed: int) -> TrainConfig:
-        t = self.train
-        return TrainConfig(
-            iterations=t["iterations"], batch_size=t["batch_size"],
-            samples=t["samples"], checkpoint_interval=t["checkpoint_interval"],
-            seed=seed, learning_rate=t["learning_rate"],
-            beta1=t["adam"]["beta1"], beta2=t["adam"]["beta2"],
-            epsilon=t["adam"]["epsilon"],
-        )
+        return _train_config(self.train, seed)
 
 
 def _canonical_json(obj) -> str:
@@ -492,15 +489,13 @@ def _metric_dict(report) -> dict:
             "zygmund_error": report.zygmund_error}
 
 
-def _final_summary(params, cfg: ExperimentConfig):
-    """Final metrics + localization ratio for the target's singular region."""
-    F = predictor(params, cfg.activation)
-    rep = approximation_report(F, cfg.target, cfg.metrics)
-    region, region_desc = _singular_region(cfg.target)
-    efield = error_field(F, cfg.target, cfg.metrics.grid)
-    ratio = localization_ratio(efield, region)
-    out = _metric_dict(rep)
-    out["localization_ratio"] = ratio
+def _final_summary(F, target: TargetFunction, mc: MetricConfig):
+    """Final metrics + localization ratio for the target's singular region,
+    plus the error field; export_field writes the same error_field bitwise."""
+    region, region_desc = _singular_region(target)
+    efield = error_field(F, target, mc.grid)
+    out = _metric_dict(approximation_report(F, target, mc))
+    out["localization_ratio"] = localization_ratio(efield, region)
     return out, region_desc, efield
 
 
@@ -564,7 +559,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 raise
 
             write_trace_csv(result.trace, paths["trace"])
-            final, region_desc, efield = _final_summary(result.params, cfg)
+            final, region_desc, efield = _final_summary(
+                predictor(result.params, cfg.activation), cfg.target, cfg.metrics)
             write_field_csv(efield, paths["field"])
 
             first = result.trace.rows[0]
@@ -706,13 +702,8 @@ def eval_checkpoint(path, grid_h: float | None = None) -> dict:
     exactly (same code path, same inputs).
     """
     ck = load_checkpoint(path)
-    mc = _metrics_override(ck.config, grid_h)
-    F = predictor(ck.params, ck.activation)
-    rep = approximation_report(F, ck.config.target, mc)
-    region, region_desc = _singular_region(ck.config.target)
-    ratio = localization_ratio(error_field(F, ck.config.target, mc.grid), region)
-    out = _metric_dict(rep)
-    out["localization_ratio"] = ratio
+    out, region_desc, _ = _final_summary(predictor(ck.params, ck.activation),
+                                         ck.config.target, _metrics_override(ck.config, grid_h))
     return {"run_id": ck.run_id, "iteration": ck.iteration, "seed": ck.seed,
             "singular_region": region_desc, "final": out,
             "config_digest": ck.config.digest}

@@ -5,13 +5,17 @@ concentrated at a singular set.  The metrics here do: a discrete Zygmund-type
 seminorm built from second differences, an H^2-type error that adds a
 discrete-Laplacian mismatch to the L2 term, and a localization ratio that
 measures how much of the squared error mass piles up in a chosen region.
+
+The L2, H^2-type and Zygmund errors all come from one evaluation of F - f on
+the metric grid widened by the Zygmund margin; each reads shifted slices of
+that one array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fdgrid import Grid2D, ScalarField, discrete_laplacian, sample_field
+from .fdgrid import Grid2D, ScalarField, laplacian_stencil, sample_field
 
 __all__ = [
     "ZygmundSpec",
@@ -80,37 +84,7 @@ def zygmund_seminorm(u, spec: ZygmundSpec, grid: Grid2D) -> float:
     u is evaluated wherever the increments land, including outside
     [-1, 1]^2 near the boundary; no increment is dropped.
     """
-    h_z, stride = spec.resolved_h(grid)
-    k_max = spec.k_max
-    expo = spec.alpha if spec.denominator_exponent is None else spec.denominator_exponent
-    n = grid.nodes_per_axis
-    margin = k_max * stride
-
-    # one evaluation on an enlarged grid covers every shifted copy exactly:
-    # node arithmetic is dyadic, so slices reproduce direct evaluation bitwise
-    ext_ax = -1.0 + grid.h * np.arange(-margin, grid.divisions + margin + 1)
-    gx, gy = np.meshgrid(ext_ax, ext_ax, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    v = np.asarray(u(pts), dtype=float).reshape(len(ext_ax), len(ext_ax))
-
-    center = v[margin : margin + n, margin : margin + n]
-
-    def block(di: int, dj: int) -> np.ndarray:
-        return v[margin + di : margin + di + n, margin + dj : margin + dj + n]
-
-    best = 0.0
-    for k in range(1, k_max + 1):
-        d = k * stride
-        length = k * h_z
-        shifts = [((d, 0), length), ((0, d), length)]
-        if spec.include_diagonals:
-            shifts += [((d, d), length * np.sqrt(2.0)), ((d, -d), length * np.sqrt(2.0))]
-        for (di, dj), vlen in shifts:
-            second = block(di, dj) + block(-di, -dj) - 2.0 * center
-            q = np.abs(second).max() / vlen**expo
-            if q > best:
-                best = float(q)
-    return best
+    return _widened_report(u, grid, spec).zygmund_error
 
 
 def h2_error(F, f, grid: Grid2D) -> float:
@@ -120,15 +94,8 @@ def h2_error(F, f, grid: Grid2D) -> float:
 
     with lap_h the 5-point discrete Laplacian at the grid spacing.
     """
-    sq, lap_sq = _mismatch_terms(F, f, grid)
-    return float(np.sqrt(sq + lap_sq))
-
-
-def _mismatch_terms(F, f, grid: Grid2D):
-    nodes = grid.node_array()
-    d0 = np.asarray(F(nodes), dtype=float) - np.asarray(f(nodes), dtype=float)
-    dlap = discrete_laplacian(F, nodes, grid.h) - discrete_laplacian(f, nodes, grid.h)
-    return float(np.mean(d0**2)), float(np.mean(dlap**2))
+    # k_max = 1 widens the grid by the one node the stencil needs
+    return approximation_report(F, f, MetricConfig(grid, ZygmundSpec(k_max=1))).h2_error
 
 
 def error_field(F, f, grid: Grid2D) -> ScalarField:
@@ -188,15 +155,53 @@ class MetricReport:
     zygmund_error: float
 
 
+def _widened_report(u, grid: Grid2D, spec: ZygmundSpec) -> MetricReport:
+    """L2, H^2-type and Zygmund values of u from one evaluation of u on the
+    grid widened by spec's margin of k_max * stride nodes per side.
+
+    Every node, stencil point and increment is a node of the widened grid, and
+    node arithmetic is dyadic, so slicing reproduces direct evaluation bitwise.
+    """
+    h_z, stride = spec.resolved_h(grid)
+    margin = spec.k_max * stride
+    n = grid.nodes_per_axis
+    ext_ax = -1.0 + grid.h * np.arange(-margin, grid.divisions + margin + 1)
+    gx, gy = np.meshgrid(ext_ax, ext_ax, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    v = np.asarray(u(pts), dtype=float).reshape(len(ext_ax), len(ext_ax))
+
+    def block(di: int = 0, dj: int = 0) -> np.ndarray:
+        return v[margin + di : margin + di + n, margin + dj : margin + dj + n]
+
+    # the 5-point Laplacian as coefficient-weighted shifted slices
+    offsets, coeffs = laplacian_stencil(grid.h)
+    lap = sum(c * block(*np.rint(o / grid.h).astype(int)) for o, c in zip(offsets, coeffs))
+    sq, lap_sq = float(np.mean(block() ** 2)), float(np.mean(lap**2))
+
+    expo = spec.alpha if spec.denominator_exponent is None else spec.denominator_exponent
+    best = 0.0
+    for k in range(1, spec.k_max + 1):
+        d = k * stride
+        length = k * h_z
+        shifts = [((d, 0), length), ((0, d), length)]
+        if spec.include_diagonals:
+            shifts += [((d, d), length * np.sqrt(2.0)), ((d, -d), length * np.sqrt(2.0))]
+        for (di, dj), vlen in shifts:
+            second = block(di, dj) + block(-di, -dj) - 2.0 * block()
+            q = np.abs(second).max() / vlen**expo
+            if q > best:
+                best = float(q)
+    return MetricReport(l2_error=float(np.sqrt(sq)), h2_error=float(np.sqrt(sq + lap_sq)),
+                        zygmund_error=best)
+
+
 def approximation_report(F, f, mc: MetricConfig) -> MetricReport:
     """L2, H^2-type and Zygmund errors of F against f on the metric grid.
 
-    The Zygmund entry is the seminorm of the error function F - f.
+    All three come from one evaluation of F - f on the metric grid widened by
+    the Zygmund margin: L2 from the node slice, the Laplacian mismatch from
+    five shifted slices, and the Zygmund entry, the seminorm of the error
+    function F - f, from the increment slices.
     """
-    sq, lap_sq = _mismatch_terms(F, f, mc.grid)
     diff = lambda x: np.asarray(F(x), dtype=float) - np.asarray(f(x), dtype=float)
-    return MetricReport(
-        l2_error=float(np.sqrt(sq)),
-        h2_error=float(np.sqrt(sq + lap_sq)),
-        zygmund_error=zygmund_seminorm(diff, mc.zygmund, mc.grid),
-    )
+    return _widened_report(diff, mc.grid, mc.zygmund)

@@ -231,6 +231,11 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

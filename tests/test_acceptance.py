@@ -366,8 +366,10 @@ def test_criterion_7_multiplicative_error_localization(circle_l2):
         pytest.xfail(
             "soft expectation missed at desk scale: " + detail + ". At this budget "
             "both architectures plateau before resolving the 0.05-wide transition "
-            "layer and the medians sit inside the seed-to-seed spread; a 3x longer "
-            "run flips the ordering.")
+            "layer and the medians sit inside the seed-to-seed spread. At 6,000 "
+            "iterations (3x longer) the medians were 3.293 (multiplicative) vs 3.291 "
+            "(additive), with seeds spread over 3.22-3.35, so the criterion cannot "
+            "tell the two apart at either budget.")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Config parsing, experiment artifacts, checkpoints, CLI."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,18 @@ def test_bad_values_rejected():
         parse_config({**base, "seeds": [1, 1]})
     with pytest.raises(ConfigError, match="batch_size"):
         parse_config({**base, "train": {"batch_size": 64, "samples": 32}})
+
+
+def test_train_errors_name_the_field():
+    # TrainConfig validates each training field once; the parser names its path
+    base = {"target": "cone", "arch": {"mlp": 4}, "activation": "tanh", "loss": "l2"}
+    for train, path in (({"adam": {"beta1": 1.0}}, "train.adam.beta1"),
+                        ({"adam": {"beta2": 1.5}}, "train.adam.beta2"),
+                        ({"adam": {"epsilon": -1e-8}}, "train.adam.epsilon"),
+                        ({"learning_rate": 0.0}, "train.learning_rate"),
+                        ({"iterations": 0}, "train.iterations")):
+        with pytest.raises(ConfigError, match=re.escape(path + " ")):
+            parse_config({**base, "train": train})
 
 
 def test_digest_ignores_output_dir_only():
@@ -420,6 +433,16 @@ def test_cli_eval_missing_checkpoint(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "none.json")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "checkpoint"
+
+
+@pytest.mark.parametrize("grid", ["1/0", "1/2/3", "abc"])
+@pytest.mark.parametrize("command", [["eval", "checkpoint.json"], ["mollifier-demo"]])
+def test_cli_bad_grid_is_one_json_error(command, grid, capsys):
+    assert main([*command, "--grid", grid]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "--grid" in err["message"]
 
 
 def test_cli_mollifier_demo(capsys):

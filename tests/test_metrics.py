@@ -275,3 +275,19 @@ def test_approximation_report_perfect_fit():
     assert rep.l2_error == 0.0
     assert rep.h2_error == 0.0
     assert rep.zygmund_error == 0.0
+
+
+def test_approximation_report_evaluates_once_on_the_widened_grid():
+    # every metric reads slices of one evaluation on the grid widened by
+    # k_max * stride nodes per side: (17 + 2 * 2)**2 and (17 + 2 * 2 * 2)**2
+    for spec, points in ((ZygmundSpec(k_max=2), 21**2),
+                         (ZygmundSpec(k_max=2, h_z=2 * GRID8.h), 25**2)):
+        calls = []
+
+        def F(x):
+            calls.append(len(x))
+            return np.tanh(2 * x[..., 0] + x[..., 1])
+
+        approximation_report(F, lambda x: np.tanh(2 * x[..., 0]),
+                             MetricConfig(grid=GRID8, zygmund=spec))
+        assert calls == [points], spec

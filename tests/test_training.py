@@ -209,8 +209,10 @@ def test_train_config_validation():
         TrainConfig(checkpoint_interval=0)
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+    for bad in ({"learning_rate": 0.0}, {"beta1": 1.0}, {"beta1": -0.1},
+                {"beta2": 1.5}, {"epsilon": 0.0}, {"epsilon": -1e-8}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
 
 
 def test_epoch_batches_partition_each_epoch():
