@@ -2,8 +2,8 @@
 
 Both network families ship with exact gradients (no autodiff anywhere in the
 package).  This script perturbs every parameter of a small instance of each
-family and compares the analytic gradient of the training losses with a
-central difference quotient.
+family and compares the analytic gradient of the training objective (the
+sum of its loss terms) with a central difference quotient.
 """
 
 import numpy as np
@@ -14,11 +14,10 @@ from prodmlp import (
     MlpArch,
     MmlpArch,
     RadialCone,
+    discrete_laplacian,
     h2_loss,
     l2_loss,
-    loss_grad,
-    loss_h2,
-    loss_l2,
+    objective,
     pack_params,
     param_count,
     unpack_params,
@@ -47,13 +46,12 @@ for arch in (MlpArch(n=10), MmlpArch(n_b=8)):
             theta = rng.normal(0, 0.6, size=param_count(arch))
             p = unpack_params(arch, theta)
 
-            if spec.kind == "l2":
-                y = target(x)
-                fn = lambda t: loss_l2(unpack_params(arch, t), act, x, y)
-            else:
-                fn = lambda t: loss_h2(unpack_params(arch, t), act, x, target, spec)
+            # the objective takes data: values at x, and x as stencil
+            # centers with the target's discrete Laplacian there
+            data = (target(x), x, discrete_laplacian(target, x, spec.h))
+            fn = lambda t: sum(objective(unpack_params(arch, t), act, spec, x, *data)[0])
 
-            analytic = loss_grad(p, act, x, target, spec)
+            _, analytic = objective(p, act, spec, x, *data)
             numeric = fd_grad(fn, pack_params(p))
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             print(f"{arch!r:16} {act.name:9} {spec.kind:3}  relative gap {rel:.2e}")

@@ -81,9 +81,7 @@ from .training import (
     adam_step,
     h2_loss,
     l2_loss,
-    loss_grad,
-    loss_h2,
-    loss_l2,
+    objective,
     read_trace_csv,
     train,
     write_trace_csv,

@@ -255,12 +255,13 @@ def _train_config(t: dict, seed: int) -> TrainConfig:
     return TrainConfig(**{k: v for k, v in t.items() if k != "adam"}, **t["adam"], seed=seed)
 
 
-def _parse_metrics(v, path: str) -> dict:
+def _parse_metrics(v, path: str) -> tuple[dict, MetricConfig]:
+    """The resolved metrics block and the MetricConfig it describes."""
     if not isinstance(v, dict):
         raise ConfigError(f"{path} must be an object, got {v!r}")
     _check_keys(v, path, (), ("grid_h", "zygmund"))
     grid_h = _parse_spacing(v.get("grid_h", 1.0 / 128.0), f"{path}.grid_h")
-    _grid_for(grid_h, f"{path}.grid_h")
+    grid = _grid_for(grid_h, f"{path}.grid_h")
     zy = v.get("zygmund", {})
     if not isinstance(zy, dict):
         raise ConfigError(f"{path}.zygmund must be an object, got {zy!r}")
@@ -271,11 +272,12 @@ def _parse_metrics(v, path: str) -> dict:
     if not isinstance(diagonals, bool):
         raise ConfigError(f"{path}.zygmund.diagonals must be true/false, got {diagonals!r}")
     try:
-        ZygmundSpec(alpha=alpha, k_max=k_max, include_diagonals=diagonals)
+        zygmund = ZygmundSpec(alpha=alpha, k_max=k_max, include_diagonals=diagonals)
     except ValueError as e:
         raise ConfigError(f"{path}.zygmund: {e}")
-    return {"grid_h": grid_h,
-            "zygmund": {"alpha": alpha, "k_max": k_max, "diagonals": diagonals}}
+    return ({"grid_h": grid_h,
+             "zygmund": {"alpha": alpha, "k_max": k_max, "diagonals": diagonals}},
+            MetricConfig(grid=grid, zygmund=zygmund))
 
 
 @dataclass(frozen=True)
@@ -320,15 +322,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     target = _parse_target(raw["target"], "target")
     archs = _parse_archs(raw["arch"], "arch")
-    if not isinstance(raw["activation"], str):
-        raise ConfigError(f"activation must be a string, got {raw['activation']!r}")
     try:
         act = activation_by_name(raw["activation"])
     except ValueError as e:
         raise ConfigError(f"activation: {e}")
     loss = _parse_loss(raw["loss"], "loss")
     train_d = _parse_train(raw.get("train", {}), "train")
-    metrics_d = _parse_metrics(raw.get("metrics", {}), "metrics")
+    metrics_d, mc = _parse_metrics(raw.get("metrics", {}), "metrics")
+    # the localization ratio needs the region to split the metric grid
+    inside = _singular_region(target)[0](mc.grid.node_array())
+    if inside.all() or not inside.any():
+        raise ConfigError(
+            f"target: its singular region covers {int(inside.sum())} of {inside.size} "
+            f"metric-grid nodes; it must cover some but not all of them")
 
     seeds = raw.get("seeds", [0, 1, 2])
     if not isinstance(seeds, list) or not seeds:
@@ -361,14 +367,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
     resolved["output_dir"] = output_dir
 
-    mc = MetricConfig(
-        grid=Grid2D(h=metrics_d["grid_h"]),
-        zygmund=ZygmundSpec(
-            alpha=metrics_d["zygmund"]["alpha"],
-            k_max=metrics_d["zygmund"]["k_max"],
-            include_diagonals=metrics_d["zygmund"]["diagonals"],
-        ),
-    )
     return ExperimentConfig(
         target=target, archs=tuple(archs), activation=act, loss=loss,
         train=train_d, metrics=mc, seeds=seeds, output_dir=output_dir,
@@ -433,8 +431,9 @@ def _arch_descriptor(arch: Arch) -> dict:
 
 def _arch_from_descriptor(d: dict) -> Arch:
     try:
-        kind, units, m = d["kind"], d["units"], d["m"]
-    except (KeyError, TypeError):
+        kind = d["kind"]
+        units, m = (_as_int(d[k], f"architecture.{k}", minimum=1) for k in ("units", "m"))
+    except (KeyError, TypeError, ConfigError):
         raise CheckpointError(f"malformed architecture descriptor: {d!r}")
     if kind == "mlp":
         return MlpArch(n=units, m=m)
@@ -653,13 +652,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}")
     except json.JSONDecodeError as e:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}")
-    if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(data, dict):
+        raise CheckpointError(f"checkpoint {path} must hold a JSON object")
+    if data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"checkpoint {path} has format {data.get('format')!r}, "
             f"expected {CHECKPOINT_FORMAT!r}"
         )
     arch = _arch_from_descriptor(data.get("architecture"))
-    vec = np.asarray(data.get("params", []), dtype=float)
+    try:
+        vec = np.asarray(data.get("params", []), dtype=float)
+    except (TypeError, ValueError):
+        raise CheckpointError(f"checkpoint {path} carries non-numeric parameters")
     expected = param_count(arch)
     if vec.shape != (expected,):
         raise CheckpointError(
@@ -667,8 +671,8 @@ def load_checkpoint(path) -> Checkpoint:
             f"expected {expected} for {arch}"
         )
     try:
-        cfg = parse_config(dict(data["config"]))
-    except (KeyError, TypeError):
+        cfg = parse_config(data["config"])
+    except KeyError:
         raise CheckpointError(f"checkpoint {path} has no embedded config")
     except ConfigError as e:
         raise CheckpointError(f"checkpoint {path} embeds an invalid config: {e}")
@@ -680,11 +684,13 @@ def load_checkpoint(path) -> Checkpoint:
         )
     try:
         act = activation_by_name(data["activation"])
+        iteration = _as_int(data.get("iteration", 0), "iteration", minimum=0)
+        seed = _as_int(data.get("seed", 0), "seed", minimum=0)
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"checkpoint {path}: {e}")
     return Checkpoint(
         arch=arch, params=unpack_params(arch, vec), activation=act,
-        iteration=int(data.get("iteration", 0)), seed=int(data.get("seed", 0)),
+        iteration=iteration, seed=seed,
         config=cfg, run_id=str(data.get("run_id", "")),
     )
 

@@ -89,7 +89,7 @@ _ACTIVATIONS = {a.name: a for a in (TANH, GAUSSIAN_BUMP)}
 def activation_by_name(name: str) -> Activation:
     try:
         return _ACTIVATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown activation {name!r}; expected one of {sorted(_ACTIVATIONS)}")
 
 
@@ -278,7 +278,7 @@ def _weighted_grad_cached(p: NetworkParams, act: Activation, xb: np.ndarray,
         d_c = coef.sum()
         return np.concatenate([d_w.ravel(), d_b, d_alpha, [d_c]])
     if p.w.shape[1] == 2:
-        loo = np.stack((s[..., 1], s[..., 0]), axis=-1)
+        loo = s[..., ::-1]      # a view: the other factor of each pair
     else:
         loo = _loo_products(s)
     t = p.alpha[None, :, None] * act.df_from_f(z, s) * loo       # dF/db_ij

@@ -1,15 +1,18 @@
-"""Losses, optimizer, and the training loop.
+"""The training objective, Adam, and the training loop.
 
-Two loss functions are supported:
+Two losses are supported:
 
 * plain least squares,  L(F) = mean |F(x_k) - y_k|^2
 * an H^2-type penalty,  L(F) = mean |F - f|^2
                                + lam * mean |lap_h F - lap_h f|^2
 
-where lap_h is the 5-point discrete Laplacian at spacing h.  Both losses have
-exact analytic gradients: each is a weighted sum of network gradients at a
-finite set of points (for the Laplacian term, at the five stencil points of
-every center), so both reduce to one `weighted_grad_sum` call.
+where lap_h is the 5-point discrete Laplacian at spacing h.  `objective` is
+the one place that composes them: it takes data only (the values y at x, and
+for the penalty the stencil centers with the target's lap_h f there) and
+returns the terms (l2, laplacian) -- the second present exactly for the "h2"
+kind -- together with the exact analytic gradient of their sum.  Each term's
+gradient is one weighted sum of network parameter gradients: at x for the
+first, at the five stencil points of every center for the second.
 
 The training loop pairs the two terms with different data streams: the least
 squares term consumes shuffled minibatches of a fixed uniform sample pool
@@ -45,9 +48,7 @@ __all__ = [
     "LossSpec",
     "l2_loss",
     "h2_loss",
-    "loss_l2",
-    "loss_h2",
-    "loss_grad",
+    "objective",
     "AdamState",
     "adam_step",
     "TrainConfig",
@@ -92,64 +93,49 @@ def h2_loss(lam: float = 1e-2, h: float = 1.0 / 128.0) -> LossSpec:
 
 
 # ---------------------------------------------------------------------------
-# loss values and gradients
+# the training objective
 # ---------------------------------------------------------------------------
 
 
-def _l2_term(p, act, x, y):
-    """Mean squared residual, per-point gradient weights, forward cache."""
-    out, cache = _forward_cache(p, act, x)
-    r = out - y
-    loss = float(np.mean(r * r))
-    coef = (2.0 / r.size) * r
-    return loss, coef, cache
+def _mismatch(p, act, pts, coeffs, data, weight):
+    """One loss term, weight * mean |r|^2, and its exact gradient.
 
-
-def _laplacian_term(p, act, centers, target, spec: LossSpec):
-    """Laplacian-mismatch term: loss, stacked stencil points, weights, cache.
-
-    The discrete Laplacian of F is linear in the five stencil evaluations, so
-    the gradient of the term is a stencil-coefficient-weighted combination of
-    network gradients at the stacked points.
+    pts stacks len(coeffs) point sets of len(data) points each, and
+    r = sum_s coeffs[s] * F(pts[s]) - data.  r is linear in the network's
+    values, so the gradient is one coefficient-weighted sum of network
+    gradients at the stacked points.  The forward cache dies with the call,
+    so the L2 term's intermediates are freed before the larger stencil pass
+    allocates; a smaller per-step peak keeps the allocator from returning
+    the heap to the OS (and faulting it back in) every step.
     """
+    out, cache = _forward_cache(p, act, pts)
+    r = coeffs @ out.reshape(len(coeffs), -1) - data
+    coef = (2.0 * weight / r.size) * (coeffs[:, None] * r[None, :])
+    grad = _weighted_grad_cached(p, act, pts, coef.reshape(-1), cache)
+    return weight * float(np.mean(r * r)), grad
+
+
+def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
+              y: np.ndarray, centers: np.ndarray | None = None,
+              lap_y: np.ndarray | None = None):
+    """Loss terms and the exact gradient of their sum: ((l2, laplacian), grad).
+
+    The least-squares term compares F(x) with the values y (a one-point
+    stencil).  For the "h2" kind a second term compares the 5-point
+    Laplacian of F at the stencil centers with lap_y, the target's discrete
+    Laplacian there, weighted by spec.lam; lam = 0 makes it exactly 0.0 and
+    leaves the gradient exactly the L2 one.
+    """
+    l2, grad = _mismatch(p, act, x, np.ones(1), y, 1.0)
+    if spec.kind == "l2":
+        return (l2,), grad
+    if centers is None or lap_y is None:
+        raise ValueError("the h2 objective needs stencil centers and lap_y")
     offsets, coeffs = laplacian_stencil(spec.h)
     pts = (centers[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
-    out, cache = _forward_cache(p, act, pts)
-    lap_f = coeffs @ out.reshape(5, -1)
-    lap_t = discrete_laplacian(target, centers, spec.h)
-    r = lap_f - lap_t
-    loss = spec.lam * float(np.mean(r * r))
-    coef = (2.0 * spec.lam / r.size) * (coeffs[:, None] * r[None, :])
-    return loss, pts, coef.reshape(-1), cache
-
-
-def loss_l2(p: NetworkParams, act: Activation, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared error of the network against values y at points x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    loss, _, _ = _l2_term(p, act, x, y)
-    return loss
-
-
-def loss_h2(p: NetworkParams, act: Activation, x: np.ndarray, target, spec: LossSpec) -> float:
-    """H^2-type loss against a callable target, both terms at the points x."""
-    x = np.asarray(x, dtype=float)
-    loss, _, _ = _l2_term(p, act, x, np.asarray(target(x), dtype=float))
-    if spec.lam != 0.0:
-        lap, _, _, _ = _laplacian_term(p, act, x, target, spec)
-        loss += lap
-    return loss
-
-
-def loss_grad(p: NetworkParams, act: Activation, x: np.ndarray, target, spec: LossSpec) -> np.ndarray:
-    """Exact analytic gradient of the selected loss at the points x."""
-    x = np.asarray(x, dtype=float)
-    _, coef, cache = _l2_term(p, act, x, np.asarray(target(x), dtype=float))
-    g = _weighted_grad_cached(p, act, x, coef, cache)
-    if spec.kind == "h2" and spec.lam != 0.0:
-        _, pts, coef2, cache2 = _laplacian_term(p, act, x, target, spec)
-        g += _weighted_grad_cached(p, act, pts, coef2, cache2)
-    return g
+    lap, lap_grad = _mismatch(p, act, pts, coeffs, lap_y, spec.lam)
+    grad += lap_grad
+    return (l2, lap), grad
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +319,14 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
         ))
 
     checkpoint(0)
+    centers = lap_y = None
     for it in range(1, cfg.iterations + 1):
         idx = next(batches)
-        xb = pool_x[idx]
-        loss_val, coef, cache = _l2_term(params, act, xb, pool_y[idx])
-        g = _weighted_grad_cached(params, act, xb, coef, cache)
         if spec.kind == "h2":
             centers = grid_nodes[grid_rng.integers(0, len(grid_nodes), size=cfg.batch_size)]
-            lap_loss, pts, coef2, cache2 = _laplacian_term(params, act, centers, target, spec)
-            loss_val += lap_loss
-            g += _weighted_grad_cached(params, act, pts, coef2, cache2)
+            lap_y = discrete_laplacian(target, centers, spec.h)
+        terms, g = objective(params, act, spec, pool_x[idx], pool_y[idx], centers, lap_y)
+        loss_val = sum(terms)
         if not np.isfinite(loss_val):
             trace.batch_losses = losses[: it - 1]
             raise TrainingDiverged(it, loss_val, trace=trace)

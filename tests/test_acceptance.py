@@ -39,11 +39,9 @@ from prodmlp import (
     kernel_as_block,
     kernel_value,
     l2_loss,
-    loss_grad,
-    loss_h2,
-    loss_l2,
     matched_additive_width,
     mollify,
+    objective,
     pack_params,
     param_count,
     parse_config,
@@ -102,15 +100,13 @@ def test_criterion_2_analytic_gradients_match_finite_differences():
                 for _ in range(instances):
                     p = random_params(arch, rng, scale=0.8)
                     x = rng.uniform(-1.0, 1.0, size=(6, 2))
-                    if spec.kind == "l2":
-                        y = target(x)
-                        fn = lambda th: loss_l2(unpack_params(arch, th), act, x, y)
-                    else:
-                        fn = lambda th: loss_h2(unpack_params(arch, th), act, x,
-                                                target, spec)
-                    fd = fd_gradient(fn, pack_params(p))
-                    worst = max(worst,
-                                relative_error(loss_grad(p, act, x, target, spec), fd))
+                    data = (target(x), x, discrete_laplacian(target, x, spec.h))
+                    fd = fd_gradient(
+                        lambda th: sum(objective(unpack_params(arch, th), act, spec,
+                                                 x, *data)[0]),
+                        pack_params(p))
+                    _, g = objective(p, act, spec, x, *data)
+                    worst = max(worst, relative_error(g, fd))
 
     ok = worst < tol
     record_criterion(

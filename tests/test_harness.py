@@ -132,6 +132,11 @@ def test_bad_values_rejected():
         parse_config({**base, "seeds": [1, 1]})
     with pytest.raises(ConfigError, match="batch_size"):
         parse_config({**base, "train": {"batch_size": 64, "samples": 32}})
+    # the singular region must split the metric grid: r0 = 2 misses every
+    # node, eps = 1 widens the annulus over all of them
+    for target in ({"kind": "circle", "r0": 2.0}, {"kind": "circle", "eps": 1.0}):
+        with pytest.raises(ConfigError, match="^target"):
+            parse_config({**base, "target": target})
 
 
 def test_train_errors_name_the_field():
@@ -158,6 +163,8 @@ def test_digest_ignores_output_dir_only():
 
 def test_resolved_config_reparses_to_the_same_digest():
     cfg = parse_config(desk_config())
+    # checkpoints written by earlier versions must keep loading
+    assert cfg.digest == "f4292422d8e567397bcba39a089c770416b4403746d2bd92cfd42a1787052651"
     again = parse_config(dict(cfg.resolved))
     assert again.digest == cfg.digest
     assert again.resolved == cfg.resolved
@@ -376,6 +383,19 @@ def test_checkpoint_rejects_tampering(finished_run, tmp_path):
     p = write_variant(lambda d: d.pop("config"))
     with pytest.raises(CheckpointError, match="config"):
         load_checkpoint(p)
+
+    # fields outside the digest are checked too, never a bare traceback
+    for key, bad in (("architecture", {"kind": "mlp", "units": "5", "m": 2}),
+                     ("activation", ["x"]),
+                     ("iteration", None),
+                     ("params", ["x"] * len(data["params"]))):
+        p = write_variant(lambda d: d.update({key: bad}))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([data]))
+    with pytest.raises(CheckpointError, match="JSON object"):
+        load_checkpoint(listed)
 
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(tmp_path / "nope.json")

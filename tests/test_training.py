@@ -18,13 +18,12 @@ from prodmlp import (
     ZygmundSpec,
     adam_step,
     approximation_report,
+    discrete_laplacian,
     forward,
     h2_loss,
     init_params,
     l2_loss,
-    loss_grad,
-    loss_h2,
-    loss_l2,
+    objective,
     pack_params,
     predictor,
     read_trace_csv,
@@ -61,6 +60,12 @@ def test_loss_spec_validation():
     LossSpec(kind="h2", lam=0.0)
 
 
+def _data(target, x, spec):
+    """The objective's data for a target: values at x, and x as stencil
+    centers with the target's discrete Laplacian there."""
+    return target(x), x, discrete_laplacian(target, x, spec.h)
+
+
 def test_loss_l2_matches_loop_oracle():
     rng = np.random.default_rng(0)
     p = random_params(MmlpArch(5), rng)
@@ -70,7 +75,10 @@ def test_loss_l2_matches_loop_oracle():
     for k in range(13):
         total += (forward(p, GAUSSIAN_BUMP, x[k]) - y[k]) ** 2
     want = total / 13
-    assert abs(loss_l2(p, GAUSSIAN_BUMP, x, y) - want) < 1e-13
+    # l2_loss() carries the default lam; the l2 kind still has one term
+    terms, _ = objective(p, GAUSSIAN_BUMP, l2_loss(), x, y)
+    assert len(terms) == 1
+    assert abs(terms[0] - want) < 1e-13
 
 
 def test_loss_h2_reduces_to_l2_at_lambda_zero():
@@ -78,8 +86,11 @@ def test_loss_h2_reduces_to_l2_at_lambda_zero():
     p = random_params(MlpArch(6), rng)
     x = rng.uniform(-1, 1, size=(9, 2))
     spec = LossSpec(kind="h2", lam=0.0)
-    want = loss_l2(p, TANH, x, np.asarray(CONE(x), dtype=float))
-    assert loss_h2(p, TANH, x, CONE, spec) == want
+    terms, g = objective(p, TANH, spec, x, *_data(CONE, x, spec))
+    want, want_g = objective(p, TANH, l2_loss(), x, CONE(x))
+    assert terms == (want[0], 0.0)
+    assert sum(terms) == sum(want)
+    assert np.array_equal(g, want_g)
 
 
 def test_loss_h2_matches_loop_oracle():
@@ -99,16 +110,19 @@ def test_loss_h2_matches_loop_oracle():
     sq = np.mean([(F(pt) - float(CONE(pt))) ** 2 for pt in x])
     pen = np.mean([(lap(F, pt) - lap(lambda q: float(CONE(q)), pt)) ** 2 for pt in x])
     want = sq + spec.lam * pen
-    assert abs(loss_h2(p, GAUSSIAN_BUMP, x, CONE, spec) - want) < 1e-11
+    terms, _ = objective(p, GAUSSIAN_BUMP, spec, x, *_data(CONE, x, spec))
+    assert abs(sum(terms) - want) < 1e-11
+    with pytest.raises(ValueError, match="centers"):
+        objective(p, GAUSSIAN_BUMP, spec, x, CONE(x))
 
 
 def test_loss_penalty_scales_linearly_in_lambda():
     rng = np.random.default_rng(3)
     p = random_params(MlpArch(5), rng)
     x = rng.uniform(-1, 1, size=(8, 2))
-    base = loss_h2(p, TANH, x, CIRCLE, LossSpec(kind="h2", lam=0.0))
-    lo = loss_h2(p, TANH, x, CIRCLE, LossSpec(kind="h2", lam=0.01))
-    hi = loss_h2(p, TANH, x, CIRCLE, LossSpec(kind="h2", lam=0.03))
+    data = _data(CIRCLE, x, LossSpec(kind="h2"))
+    base, lo, hi = (sum(objective(p, TANH, LossSpec(kind="h2", lam=lam), x, *data)[0])
+                    for lam in (0.0, 0.01, 0.03))
     assert abs((hi - base) - 3.0 * (lo - base)) < 1e-12
 
 
@@ -122,12 +136,11 @@ def test_loss_grad_matches_finite_differences():
                 for _ in range(10):
                     p = random_params(arch, rng, scale=0.8)
                     x = rng.uniform(-1, 1, size=(6, 2))
-                    g = loss_grad(p, act, x, CONE, spec)
+                    data = _data(CONE, x, spec)
+                    _, g = objective(p, act, spec, x, *data)
+                    # one value function for every kind: the sum of the terms
                     fd = fd_gradient(
-                        lambda v: loss_h2(unpack_params(arch, v), act, x, CONE, spec)
-                        if spec.kind == "h2"
-                        else loss_l2(unpack_params(arch, v), act, x,
-                                     np.asarray(CONE(x), dtype=float)),
+                        lambda v: sum(objective(unpack_params(arch, v), act, spec, x, *data)[0]),
                         pack_params(p))
                     worst = max(worst, relative_error(g, fd))
                 assert worst < tol, f"{arch} {act.name} {spec.kind}: {worst}"
