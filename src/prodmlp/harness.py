@@ -26,6 +26,7 @@ set, becomes the base directory for relative output paths.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,7 +117,12 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
 def _as_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path} must be a number, got {v!r}")
-    return float(v)
+    # JSON reads 1e400 as inf and NaN/Infinity literals as such; an integer
+    # literal beyond the float range overflows
+    x = float(v) if isinstance(v, float) or abs(v) < 2**1024 else math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path} must be a finite number, got {v!r}")
+    return x
 
 
 def _as_int(v, path: str, minimum: int | None = None) -> int:
@@ -140,7 +146,7 @@ def _parse_spacing(v, path: str) -> float:
                 raise ValueError
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{path} must be a number or 'a/b' fraction, got {v!r}")
-        return val
+        v = val
     return _as_number(v, path)
 
 
@@ -511,13 +517,31 @@ def _median(values):
     return float(np.median(vals))
 
 
+def _check_output_dir(outdir: Path, digest: str) -> None:
+    try:
+        stored = json.loads((outdir / "experiment_summary.json").read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return
+    except (OSError, ValueError):
+        stored = None
+    stored = stored.get("config_digest") if isinstance(stored, dict) else None
+    if stored != digest:
+        raise ConfigError(
+            f"output_dir {str(outdir)!r} holds the experiment_summary.json of another "
+            f"config (digest {stored!r}, this config {digest!r}); choose another output_dir"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (architecture, seed) combination and write all artifacts.
 
     A diverged run still writes its partial trace and a flagged summary, and
     the whole experiment is then aborted by re-raising TrainingDiverged.
+    An output directory holding another config's experiment_summary.json is
+    refused, so two configs' artifacts never mix; the same config overwrites.
     """
     outdir = resolve_output_dir(cfg)
+    _check_output_dir(outdir, cfg.digest)
     outdir.mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
 
@@ -641,9 +665,9 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint JSON.
 
-    Rejects unknown formats, parameter vectors of the wrong length, and
-    checkpoints whose stored digest no longer matches their embedded config
-    (a stale or hand-edited file).
+    Rejects unknown formats, non-finite parameters, parameter vectors of the
+    wrong length, and checkpoints whose stored digest no longer matches their
+    embedded config (a stale or hand-edited file).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -664,6 +688,8 @@ def load_checkpoint(path) -> Checkpoint:
         vec = np.asarray(data.get("params", []), dtype=float)
     except (TypeError, ValueError):
         raise CheckpointError(f"checkpoint {path} carries non-numeric parameters")
+    if not np.all(np.isfinite(vec)):
+        raise CheckpointError(f"checkpoint {path} carries non-finite parameters")
     expected = param_count(arch)
     if vec.shape != (expected,):
         raise CheckpointError(

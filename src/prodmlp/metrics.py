@@ -188,9 +188,8 @@ def _widened_report(u, grid: Grid2D, spec: ZygmundSpec) -> MetricReport:
             shifts += [((d, d), length * np.sqrt(2.0)), ((d, -d), length * np.sqrt(2.0))]
         for (di, dj), vlen in shifts:
             second = block(di, dj) + block(-di, -dj) - 2.0 * block()
-            q = np.abs(second).max() / vlen**expo
-            if q > best:
-                best = float(q)
+            # np.maximum, unlike a comparison, carries a NaN through
+            best = float(np.maximum(best, np.abs(second).max() / vlen**expo))
     return MetricReport(l2_error=float(np.sqrt(sq)), h2_error=float(np.sqrt(sq + lap_sq)),
                         zygmund_error=best)
 

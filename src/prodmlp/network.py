@@ -26,6 +26,7 @@ Flat parameter layout (used by the optimizer and by checkpoints):
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -236,57 +237,47 @@ def _as_batch(x: np.ndarray, m: int):
     return x, single
 
 
-def _loo_products(s: np.ndarray) -> np.ndarray:
-    """Leave-one-out products along the last axis.
-
-    loo[..., i] = prod_{k != i} s[..., k], computed with prefix/suffix
-    cumulative products so factors that are exactly zero stay well defined.
-    """
-    left = np.ones_like(s)
-    right = np.ones_like(s)
-    left[..., 1:] = np.cumprod(s[..., :-1], axis=-1)
-    right[..., :-1] = np.cumprod(s[..., :0:-1], axis=-1)[..., ::-1]
-    return left * right
-
-
 def _forward_cache(p: NetworkParams, act: Activation, xb: np.ndarray):
     """Batch forward pass returning (values, cache of intermediates).
 
-    The cache feeds _weighted_grad_cached so a loss step evaluates each
-    transcendental exactly once.
+    The cache (z, s, h) holds the pre-activations, the activations and the
+    (batch, units) hidden features that alpha weighs: h = s for ridge units
+    and the block products for product blocks.  For product blocks z and s
+    are (batch, n_b, m); coordinate i's factors form the plane s[..., i], a
+    view.  The cache feeds _weighted_grad_cached so a loss step evaluates
+    each transcendental exactly once.
     """
     if isinstance(p, MlpParams):
         z = xb @ p.w.T + p.b            # (batch, n)
-        s = act.f(z)
-        return s @ p.alpha + p.c, (z, s, None)
-    if isinstance(p, MmlpParams):
+        s = h = act.f(z)
+    elif isinstance(p, MmlpParams):
         z = xb[:, None, :] * p.w[None, :, :] + p.b[None, :, :]  # (batch, n_b, m)
         s = act.f(z)
-        prod = s[..., 0] * s[..., 1] if p.w.shape[1] == 2 else s.prod(axis=2)
-        return prod @ p.alpha + p.c, (z, s, prod)
-    raise TypeError(f"not a parameter container: {p!r}")
+        h = reduce(np.multiply, [s[..., i] for i in range(p.w.shape[1])])
+    else:
+        raise TypeError(f"not a parameter container: {p!r}")
+    return h @ p.alpha + p.c, (z, s, h)
 
 
 def _weighted_grad_cached(p: NetworkParams, act: Activation, xb: np.ndarray,
                           coef: np.ndarray, cache) -> np.ndarray:
-    z, s, prod = cache
+    z, s, h = cache
     if isinstance(p, MlpParams):
         t = act.df_from_f(z, s) * p.alpha[None, :]   # dF/db per sample, (batch, n)
-        d_alpha = coef @ s
         d_b = coef @ t
         d_w = (t * coef[:, None]).T @ xb             # (n, m)
-        d_c = coef.sum()
-        return np.concatenate([d_w.ravel(), d_b, d_alpha, [d_c]])
-    if p.w.shape[1] == 2:
-        loo = s[..., ::-1]      # a view: the other factor of each pair
     else:
-        loo = _loo_products(s)
-    t = p.alpha[None, :, None] * act.df_from_f(z, s) * loo       # dF/db_ij
-    d_alpha = coef @ prod
-    d_b = np.einsum("k,kjm->jm", coef, t)
-    d_w = np.einsum("k,kjm,km->jm", coef, t, xb)
-    d_c = coef.sum()
-    return np.concatenate([d_w.ravel(), d_b.ravel(), d_alpha, [d_c]])
+        # coordinate i's factor times the product of the other planes; a plain
+        # product with no division, so factors that are exactly zero stay exact
+        d_b = np.empty_like(p.b)
+        d_w = np.empty_like(p.w)
+        planes = [s[..., i] for i in range(p.w.shape[1])]
+        for i, s_i in enumerate(planes):
+            loo = reduce(np.multiply, planes[:i] + planes[i + 1 :], 1.0)
+            t = p.alpha[None, :] * act.df_from_f(z[..., i], s_i) * loo   # dF/db_ij, (batch, n_b)
+            d_b[:, i] = np.einsum("k,kj->j", coef, t)
+            d_w[:, i] = np.einsum("k,kj,k->j", coef, t, xb[:, i])
+    return np.concatenate([d_w.ravel(), d_b.ravel(), coef @ h, [coef.sum()]])
 
 
 def forward(p: NetworkParams, act: Activation, x: np.ndarray):

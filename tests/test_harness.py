@@ -1,6 +1,7 @@
 """Config parsing, experiment artifacts, checkpoints, CLI."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -120,6 +121,10 @@ def test_bad_values_rejected():
         parse_config({**base, "target": "sphere"})
     with pytest.raises(ConfigError, match="lambda"):
         parse_config({**base, "loss": {"kind": "h2", "lambda": 0.0}})
+    with pytest.raises(ConfigError, match="lambda must be a finite number"):
+        parse_config({**base, "loss": {"kind": "h2", "lambda": math.inf}})
+    with pytest.raises(ConfigError, match="beta must be a finite number"):
+        parse_config({**base, "target": {"kind": "cone", "beta": math.inf}})
     with pytest.raises(ConfigError, match="exactly one"):
         parse_config({**base, "arch": {"mlp": 4, "mmlp": 4}})
     with pytest.raises(ConfigError, match="matched_pair"):
@@ -146,6 +151,8 @@ def test_train_errors_name_the_field():
                         ({"adam": {"beta2": 1.5}}, "train.adam.beta2"),
                         ({"adam": {"epsilon": -1e-8}}, "train.adam.epsilon"),
                         ({"learning_rate": 0.0}, "train.learning_rate"),
+                        ({"learning_rate": 1e400}, "train.learning_rate"),
+                        ({"learning_rate": 10**400}, "train.learning_rate"),
                         ({"iterations": 0}, "train.iterations")):
         with pytest.raises(ConfigError, match=re.escape(path + " ")):
             parse_config({**base, "train": train})
@@ -276,6 +283,22 @@ def test_run_experiment_respects_output_root(monkeypatch, tmp_path):
     assert (tmp_path / "nested" / "exp" / "experiment_summary.json").exists()
 
 
+def test_run_experiment_refuses_another_configs_output_dir(tmp_path):
+    first = parse_config(micro_config(tmp_path, seeds=[0]))
+    run_experiment(first)
+    run_experiment(first)  # the same config overwrites its own artifacts
+    with pytest.raises(ConfigError, match="^output_dir .*another config"):
+        run_experiment(parse_config(micro_config(tmp_path, seeds=[1])))
+    outdir = resolve_output_dir(first)
+    assert not (outdir / "mmlp3_gaussian_l2_seed1_summary.json").exists()
+    assert json.loads((outdir / "experiment_summary.json").read_text())["config_digest"] \
+        == first.digest
+    # a summary that names no digest is no proof of the same config either
+    (outdir / "experiment_summary.json").write_text("[]")
+    with pytest.raises(ConfigError, match="^output_dir"):
+        run_experiment(first)
+
+
 def test_diverged_run_writes_flagged_artifacts(tmp_path):
     from prodmlp import TrainingDiverged
 
@@ -388,7 +411,9 @@ def test_checkpoint_rejects_tampering(finished_run, tmp_path):
     for key, bad in (("architecture", {"kind": "mlp", "units": "5", "m": 2}),
                      ("activation", ["x"]),
                      ("iteration", None),
-                     ("params", ["x"] * len(data["params"]))):
+                     ("params", ["x"] * len(data["params"])),
+                     ("params", [math.nan] + data["params"][1:]),
+                     ("params", data["params"][:-1] + [math.inf])):
         p = write_variant(lambda d: d.update({key: bad}))
         with pytest.raises(CheckpointError):
             load_checkpoint(p)

@@ -277,6 +277,16 @@ def test_approximation_report_perfect_fit():
     assert rep.zygmund_error == 0.0
 
 
+def test_approximation_report_propagates_nan():
+    # a NaN in F must surface in every error, never as a finite Zygmund value
+    mc = MetricConfig(grid=GRID8, zygmund=ZygmundSpec(k_max=2))
+    F = lambda x: np.where(np.all(x == 0.0, axis=-1), np.nan, x[..., 0] ** 2)
+    rep = approximation_report(F, lambda x: 0.0 * x[..., 0], mc)
+    assert np.isnan(rep.l2_error)
+    assert np.isnan(rep.h2_error)
+    assert np.isnan(rep.zygmund_error)
+
+
 def test_approximation_report_evaluates_once_on_the_widened_grid():
     # every metric reads slices of one evaluation on the grid widened by
     # k_max * stride nodes per side: (17 + 2 * 2)**2 and (17 + 2 * 2 * 2)**2

@@ -166,7 +166,8 @@ def test_pack_layout_is_stable():
 
 def test_forward_matches_naive_loops():
     rng = np.random.default_rng(3)
-    for arch in (MlpArch(8), MlpArch(5, m=3), MmlpArch(8), MmlpArch(5, m=3)):
+    for arch in (MlpArch(8), MlpArch(5, m=3), MmlpArch(8), MmlpArch(5, m=3),
+                 MmlpArch(3, m=1), MmlpArch(2, m=4)):
         for act in ACTS:
             p = random_params(arch, rng)
             for _ in range(20):
@@ -219,7 +220,9 @@ def test_grad_params_matches_finite_differences():
     # sweep of random instances per architecture and activation
     rng = np.random.default_rng(6)
     tol = 1e-7
-    for arch in (MlpArch(4), MlpArch(3, m=3), MmlpArch(4), MmlpArch(3, m=3)):
+    # m = 1 leaves each factor no others to multiply; m = 4 multiplies three
+    for arch in (MlpArch(4), MlpArch(3, m=3), MmlpArch(4), MmlpArch(3, m=3),
+                 MmlpArch(3, m=1), MmlpArch(2, m=4)):
         for act in ACTS:
             worst = 0.0
             for _ in range(25):
