@@ -17,8 +17,7 @@ import sys
 from .harness import (
     CheckpointError,
     ConfigError,
-    _grid_for,
-    _parse_spacing,
+    _parse_grid,
     eval_checkpoint,
     export_field,
     load_config,
@@ -54,8 +53,8 @@ def _cmd_validate(args) -> int:
 
 
 def _grid_h(value: str | None) -> float | None:
-    """The --grid spacing, parsed like a config's; the harness checks it."""
-    return None if value is None else _parse_spacing(value, "--grid")
+    """The --grid spacing, parsed and checked like a config's grid_h."""
+    return None if value is None else _parse_grid(value, "--grid").h
 
 
 def _cmd_eval(args) -> int:
@@ -75,7 +74,7 @@ def _cmd_mollifier_demo(args) -> int:
         eps_list = [float(e) for e in args.eps.split(",")]
     except ValueError:
         return _fail("usage", f"--eps must be comma-separated numbers, got {args.eps!r}")
-    grid = _grid_for(_parse_spacing(args.grid, "--grid"), "--grid")
+    grid = _parse_grid(args.grid, "--grid")
     target = target_by_name(args.target)
     rows = convergence_report(GAUSSIAN_BUMP, eps_list, target, grid,
                               quad_points=args.quad_points)

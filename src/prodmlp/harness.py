@@ -2,10 +2,15 @@
 
 A config JSON names a target, an architecture (or a parameter-matched pair),
 an activation, a loss, and optionally training / metric settings and a seed
-list.  Everything omitted is filled with the standard defaults; unknown keys
-anywhere are rejected with an error naming the offending field.  Scalar
-shorthands are accepted where they are unambiguous ("cone", "l2"), and grid
-spacings may be written as fractions ("1/128").
+list.  Each section is read into its dataclass -- MollifiedCircle or
+RadialCone, LossSpec, TrainConfig, MetricConfig with its ZygmundSpec -- which
+is the one definition of its fields: an omitted key takes the dataclass's
+default, the dataclass checks every value, and its error names the config
+path.  The harness checks only JSON types and keys; unknown keys anywhere are
+rejected with an error naming the offending field.  Scalar shorthands are
+accepted where they are unambiguous ("cone", "l2"), and grid spacings may be
+written as fractions ("1/128").  The resolved form is read back from the
+built dataclasses.
 
 Resolved configs are canonical: their SHA-256 digest (computed over
 everything except the output location) stamps every artifact, and artifacts
@@ -28,7 +33,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +139,12 @@ def _as_int(v, path: str, minimum: int | None = None) -> int:
     return v
 
 
+def _as_bool(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path} must be true/false, got {v!r}")
+    return v
+
+
 def _parse_spacing(v, path: str) -> float:
     """Accept a number or a fraction string like "1/128"."""
     if isinstance(v, str):
@@ -150,37 +162,97 @@ def _parse_spacing(v, path: str) -> float:
     return _as_number(v, path)
 
 
-def _grid_for(h: float, path: str) -> Grid2D:
+def _parse_grid(v, path: str) -> Grid2D:
+    """The grid of a spacing written as a number or a fraction: the config's
+    metrics.grid_h and every --grid flag."""
+    h = _parse_spacing(v, path)
     try:
         return Grid2D(h=h)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}")
 
 
-def _parse_target(v, path: str) -> TargetFunction:
+# A section table maps each JSON key to the dataclass field it sets and the
+# reader that checks its JSON type; a nested table is a sub-object whose keys
+# set fields of the same dataclass.  A section that names its kind maps each
+# kind to its constructor and table.  Defaults and value checks belong to the
+# dataclasses alone.
+_TARGETS = {
+    "circle": (MollifiedCircle, {"r0": ("r0", _as_number), "eps": ("eps", _as_number)}),
+    "cone": (RadialCone, {"beta": ("beta", _as_number)}),
+}
+_LOSSES = {
+    "l2": (partial(LossSpec, kind="l2"), {}),
+    "h2": (partial(LossSpec, kind="h2"),
+           {"lambda": ("lam", _as_number), "h": ("h", _parse_spacing)}),
+}
+_TRAIN = {
+    "iterations": ("iterations", _as_int),
+    "batch_size": ("batch_size", _as_int),
+    "samples": ("samples", _as_int),
+    "checkpoint_interval": ("checkpoint_interval", _as_int),
+    "learning_rate": ("learning_rate", _as_number),
+    "adam": {"beta1": ("beta1", _as_number), "beta2": ("beta2", _as_number),
+             "epsilon": ("epsilon", _as_number)},
+}
+_ZYGMUND = {"alpha": ("alpha", _as_number), "k_max": ("k_max", _as_int),
+            "diagonals": ("include_diagonals", _as_bool)}
+_METRICS = {
+    "grid_h": ("grid", _parse_grid),
+    "zygmund": ("zygmund", lambda v, path: _build(ZygmundSpec, v, path, _ZYGMUND)),
+}
+
+
+def _read(v, path: str, table: dict, paths: dict) -> dict:
+    """The dataclass fields that the keys present in object v set; an omitted
+    key stays out, so the dataclass supplies its default.  Records each
+    field's config path in paths."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path} must be an object, got {v!r}")
+    _check_keys(v, path, (), tuple(table))
+    fields = {}
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            fields.update(_read(v.get(key, {}), f"{path}.{key}", entry, paths))
+            continue
+        field, read = entry
+        paths[field] = f"{path}.{key}"
+        if key in v:
+            fields[field] = read(v[key], paths[field])
+    return fields
+
+
+def _resolved(obj, table: dict) -> dict:
+    """The section's resolved JSON, read back from the object built from it."""
+    return {key: _resolved(obj, entry) if isinstance(entry, dict) else getattr(obj, entry[0])
+            for key, entry in table.items()}
+
+
+def _build(cls, v, path: str, table: dict):
+    """cls built from section v; the dataclass checks every value, and its
+    error, whose message opens with the field's name, names the config path."""
+    paths = {}
+    fields = _read(v, path, table, paths)
+    try:
+        return cls(**fields)
+    except ValueError as e:
+        name, _, rest = str(e).partition(" ")
+        raise ConfigError(f"{paths[name]} {rest}" if name in paths else f"{path}: {e}")
+
+
+def _parse_kind(v, path: str, kinds: dict):
+    """A section that names its kind ("cone" is shorthand for {"kind":
+    "cone"}): the object built from it and its resolved JSON."""
     if isinstance(v, str):
         v = {"kind": v}
     if not isinstance(v, dict):
         raise ConfigError(f"{path} must be a string or object, got {v!r}")
     kind = v.get("kind")
-    if kind == "circle":
-        _check_keys(v, path, ("kind",), ("r0", "eps"))
-        try:
-            return MollifiedCircle(
-                r0=_as_number(v["r0"], f"{path}.r0") if "r0" in v else 0.5,
-                eps=_as_number(v["eps"], f"{path}.eps") if "eps" in v else 0.05,
-            )
-        except ValueError as e:
-            raise ConfigError(f"{path}: {e}")
-    if kind == "cone":
-        _check_keys(v, path, ("kind",), ("beta",))
-        try:
-            return RadialCone(
-                beta=_as_number(v["beta"], f"{path}.beta") if "beta" in v else 1.8
-            )
-        except ValueError as e:
-            raise ConfigError(f"{path}: {e}")
-    raise ConfigError(f"{path}.kind must be 'circle' or 'cone', got {kind!r}")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind must be {' or '.join(map(repr, kinds))}, got {kind!r}")
+    cls, table = kinds[kind]
+    obj = _build(cls, {k: x for k, x in v.items() if k != "kind"}, path, table)
+    return obj, {"kind": kind, **_resolved(obj, table)}
 
 
 def _parse_archs(v, path: str) -> list[Arch]:
@@ -204,86 +276,14 @@ def _parse_archs(v, path: str) -> list[Arch]:
     raise ConfigError(f"{path} key must be 'mlp', 'mmlp' or 'matched_pair', got {key!r}")
 
 
-def _parse_loss(v, path: str) -> LossSpec:
-    if isinstance(v, str):
-        v = {"kind": v}
-    if not isinstance(v, dict):
-        raise ConfigError(f"{path} must be a string or object, got {v!r}")
-    kind = v.get("kind")
-    if kind == "l2":
-        _check_keys(v, path, ("kind",), ())
-        return LossSpec(kind="l2")
-    if kind == "h2":
-        _check_keys(v, path, ("kind",), ("lambda", "h"))
-        lam = _as_number(v["lambda"], f"{path}.lambda") if "lambda" in v else 1e-2
-        if not lam > 0:
-            raise ConfigError(f"{path}.lambda must be > 0 for the h2 loss, got {lam}")
-        h = _parse_spacing(v.get("h", 1.0 / 128.0), f"{path}.h")
-        _grid_for(h, f"{path}.h")  # stencil centers are drawn from this grid
-        return LossSpec(kind="h2", lam=lam, h=h)
-    raise ConfigError(f"{path}.kind must be 'l2' or 'h2', got {kind!r}")
-
-
-def _parse_train(v, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise ConfigError(f"{path} must be an object, got {v!r}")
-    _check_keys(v, path, (), ("iterations", "batch_size", "samples",
-                             "checkpoint_interval", "learning_rate", "adam"))
-    out = {
-        "iterations": _as_int(v.get("iterations", 10_000), f"{path}.iterations"),
-        "batch_size": _as_int(v.get("batch_size", 2_048), f"{path}.batch_size"),
-        "samples": _as_int(v.get("samples", 50_000), f"{path}.samples"),
-        "checkpoint_interval": _as_int(
-            v.get("checkpoint_interval", 100), f"{path}.checkpoint_interval"
-        ),
-        "learning_rate": _as_number(v.get("learning_rate", 1e-3), f"{path}.learning_rate"),
-    }
-    adam = v.get("adam", {})
-    if not isinstance(adam, dict):
-        raise ConfigError(f"{path}.adam must be an object, got {adam!r}")
-    _check_keys(adam, f"{path}.adam", (), ("beta1", "beta2", "epsilon"))
-    out["adam"] = {
-        "beta1": _as_number(adam.get("beta1", 0.9), f"{path}.adam.beta1"),
-        "beta2": _as_number(adam.get("beta2", 0.999), f"{path}.adam.beta2"),
-        "epsilon": _as_number(adam.get("epsilon", 1e-8), f"{path}.adam.epsilon"),
-    }
-    try:
-        _train_config(out, seed=0)
-    except ValueError as e:
-        # TrainConfig's messages open with the offending field's name
-        field = str(e).split()[0]
-        raise ConfigError(f"{path}{'.adam' if field in out['adam'] else ''}.{e}")
-    return out
-
-
-def _train_config(t: dict, seed: int) -> TrainConfig:
-    """A resolved train block's keys, adam's included, are TrainConfig fields."""
-    return TrainConfig(**{k: v for k, v in t.items() if k != "adam"}, **t["adam"], seed=seed)
-
-
-def _parse_metrics(v, path: str) -> tuple[dict, MetricConfig]:
-    """The resolved metrics block and the MetricConfig it describes."""
-    if not isinstance(v, dict):
-        raise ConfigError(f"{path} must be an object, got {v!r}")
-    _check_keys(v, path, (), ("grid_h", "zygmund"))
-    grid_h = _parse_spacing(v.get("grid_h", 1.0 / 128.0), f"{path}.grid_h")
-    grid = _grid_for(grid_h, f"{path}.grid_h")
-    zy = v.get("zygmund", {})
-    if not isinstance(zy, dict):
-        raise ConfigError(f"{path}.zygmund must be an object, got {zy!r}")
-    _check_keys(zy, f"{path}.zygmund", (), ("alpha", "k_max", "diagonals"))
-    alpha = _as_number(zy.get("alpha", 0.8), f"{path}.zygmund.alpha")
-    k_max = _as_int(zy.get("k_max", 8), f"{path}.zygmund.k_max", 1)
-    diagonals = zy.get("diagonals", False)
-    if not isinstance(diagonals, bool):
-        raise ConfigError(f"{path}.zygmund.diagonals must be true/false, got {diagonals!r}")
-    try:
-        zygmund = ZygmundSpec(alpha=alpha, k_max=k_max, include_diagonals=diagonals)
-    except ValueError as e:
-        raise ConfigError(f"{path}.zygmund: {e}")
-    return ({"grid_h": grid_h,
-             "zygmund": {"alpha": alpha, "k_max": k_max, "diagonals": diagonals}},
-            MetricConfig(grid=grid, zygmund=zygmund))
+def _check_region(target: TargetFunction, grid: Grid2D, path: str) -> None:
+    """The localization ratio needs the target's singular region to split the
+    metric grid."""
+    inside = _singular_region(target)[0](grid.node_array())
+    if inside.all() or not inside.any():
+        raise ConfigError(
+            f"{path}: the target's singular region covers {int(inside.sum())} of "
+            f"{inside.size} metric-grid nodes; it must cover some but not all of them")
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ class ExperimentConfig:
     archs: tuple[Arch, ...]
     activation: Activation
     loss: LossSpec
-    train: dict
+    train: TrainConfig  # seed 0; train_config gives each run's
     metrics: MetricConfig
     seeds: tuple[int, ...]
     output_dir: str
@@ -302,7 +302,7 @@ class ExperimentConfig:
     digest: str
 
     def train_config(self, seed: int) -> TrainConfig:
-        return _train_config(self.train, seed)
+        return replace(self.train, seed=seed)
 
 
 def _canonical_json(obj) -> str:
@@ -326,21 +326,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(raw, "", ("target", "arch", "activation", "loss"),
                 ("train", "metrics", "seeds", "output_dir"))
 
-    target = _parse_target(raw["target"], "target")
+    target, target_resolved = _parse_kind(raw["target"], "target", _TARGETS)
     archs = _parse_archs(raw["arch"], "arch")
     try:
         act = activation_by_name(raw["activation"])
     except ValueError as e:
         raise ConfigError(f"activation: {e}")
-    loss = _parse_loss(raw["loss"], "loss")
-    train_d = _parse_train(raw.get("train", {}), "train")
-    metrics_d, mc = _parse_metrics(raw.get("metrics", {}), "metrics")
-    # the localization ratio needs the region to split the metric grid
-    inside = _singular_region(target)[0](mc.grid.node_array())
-    if inside.all() or not inside.any():
-        raise ConfigError(
-            f"target: its singular region covers {int(inside.sum())} of {inside.size} "
-            f"metric-grid nodes; it must cover some but not all of them")
+    loss, loss_resolved = _parse_kind(raw["loss"], "loss", _LOSSES)
+    # an h2 run at lam = 0 would be an l2 run under another name
+    if loss.kind == "h2" and not loss.lam > 0:
+        raise ConfigError(f"loss.lambda must be > 0 for the h2 loss, got {loss.lam}")
+    train_cfg = _build(TrainConfig, raw.get("train", {}), "train", _TRAIN)
+    mc = _build(MetricConfig, raw.get("metrics", {}), "metrics", _METRICS)
+    _check_region(target, mc.grid, "target")
 
     seeds = raw.get("seeds", [0, 1, 2])
     if not isinstance(seeds, list) or not seeds:
@@ -349,22 +347,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {list(seeds)}")
 
-    if isinstance(target, MollifiedCircle):
-        target_resolved = {"kind": "circle", "r0": target.r0, "eps": target.eps}
-    else:
-        target_resolved = {"kind": "cone", "beta": target.beta}
-    arch_raw = raw["arch"]
-    (arch_key, arch_units), = arch_raw.items()
-    loss_resolved = {"kind": "l2"} if loss.kind == "l2" else \
-        {"kind": "h2", "lambda": loss.lam, "h": loss.h}
-
+    (arch_key, arch_units), = raw["arch"].items()
     resolved = {
         "target": target_resolved,
         "arch": {arch_key: arch_units},
         "activation": act.name,
         "loss": loss_resolved,
-        "train": train_d,
-        "metrics": metrics_d,
+        "train": _resolved(train_cfg, _TRAIN),
+        "metrics": {"grid_h": mc.grid.h, "zygmund": _resolved(mc.zygmund, _ZYGMUND)},
         "seeds": list(seeds),
     }
     digest = config_digest(resolved)
@@ -375,7 +365,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         target=target, archs=tuple(archs), activation=act, loss=loss,
-        train=train_d, metrics=mc, seeds=seeds, output_dir=output_dir,
+        train=train_cfg, metrics=mc, seeds=seeds, output_dir=output_dir,
         resolved=resolved, digest=digest,
     )
 
@@ -433,19 +423,6 @@ def _arch_descriptor(arch: Arch) -> dict:
     if isinstance(arch, MlpArch):
         return {"kind": "mlp", "units": arch.n, "m": arch.m}
     return {"kind": "mmlp", "units": arch.n_b, "m": arch.m}
-
-
-def _arch_from_descriptor(d: dict) -> Arch:
-    try:
-        kind = d["kind"]
-        units, m = (_as_int(d[k], f"architecture.{k}", minimum=1) for k in ("units", "m"))
-    except (KeyError, TypeError, ConfigError):
-        raise CheckpointError(f"malformed architecture descriptor: {d!r}")
-    if kind == "mlp":
-        return MlpArch(n=units, m=m)
-    if kind == "mmlp":
-        return MmlpArch(n_b=units, m=m)
-    raise CheckpointError(f"unknown architecture kind {kind!r}")
 
 
 def _singular_region(target: TargetFunction):
@@ -555,6 +532,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 "summary": outdir / f"{rid}_summary.json",
             }
             tc = cfg.train_config(seed)
+            head = {"run_id": rid, "architecture": _arch_descriptor(arch),
+                    "activation": cfg.activation.name, "loss": cfg.resolved["loss"],
+                    "seed": seed}
             try:
                 result = train(arch, cfg.activation, cfg.target, cfg.loss, tc,
                                metrics=cfg.metrics)
@@ -562,11 +542,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 if e.trace is not None:
                     write_trace_csv(e.trace, paths["trace"])
                 _write_json({
-                    "run_id": rid,
-                    "architecture": _arch_descriptor(arch),
-                    "activation": cfg.activation.name,
-                    "loss": cfg.resolved["loss"],
-                    "seed": seed,
+                    **head,
                     "status": "diverged",
                     "diverged_at_iteration": e.iteration,
                     "config_digest": cfg.digest,
@@ -588,11 +564,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
             first = result.trace.rows[0]
             summary = {
-                "run_id": rid,
-                "architecture": _arch_descriptor(arch),
-                "activation": cfg.activation.name,
-                "loss": cfg.resolved["loss"],
-                "seed": seed,
+                **head,
                 "status": "ok",
                 "iterations": tc.iterations,
                 "initial": {"l2_error": first.l2_error, "h2_error": first.h2_error,
@@ -626,8 +598,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     medians = {}
     for arch in cfg.archs:
         label = _arch_label(arch)
-        group = [r.summary["final"] for r in records
-                 if r.summary["architecture"] == _arch_descriptor(arch)]
+        group = [r.summary["final"] for r in records if r.arch == arch]
         medians[label] = {
             key: _median([g[key] for g in group])
             for key in ("l2_error", "h2_error", "zygmund_error", "localization_ratio")
@@ -665,9 +636,13 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint JSON.
 
-    Rejects unknown formats, non-finite parameters, parameter vectors of the
-    wrong length, and checkpoints whose stored digest no longer matches their
-    embedded config (a stale or hand-edited file).
+    The run -- architecture, activation, seed and iteration count -- is read
+    from the embedded config, which the stored digest protects, at the run
+    that the stored run_id names.  The copies of those fields stored beside
+    the config must agree with it, so a hand-edited copy cannot make the
+    parameters evaluate as another network.  Also rejects unknown formats,
+    stale digests (an edited config), non-finite parameters and parameter
+    vectors of the wrong length.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -683,19 +658,6 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint {path} has format {data.get('format')!r}, "
             f"expected {CHECKPOINT_FORMAT!r}"
         )
-    arch = _arch_from_descriptor(data.get("architecture"))
-    try:
-        vec = np.asarray(data.get("params", []), dtype=float)
-    except (TypeError, ValueError):
-        raise CheckpointError(f"checkpoint {path} carries non-numeric parameters")
-    if not np.all(np.isfinite(vec)):
-        raise CheckpointError(f"checkpoint {path} carries non-finite parameters")
-    expected = param_count(arch)
-    if vec.shape != (expected,):
-        raise CheckpointError(
-            f"checkpoint {path} carries {vec.size} parameters, "
-            f"expected {expected} for {arch}"
-        )
     try:
         cfg = parse_config(data["config"])
     except KeyError:
@@ -708,34 +670,55 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint {path} is stale: stored config digest {stored!r} does not "
             f"match its embedded config ({cfg.digest!r})"
         )
+    runs = {run_id_for(arch, cfg.activation, cfg.loss, seed): (arch, seed)
+            for arch in cfg.archs for seed in cfg.seeds}
+    run_id = data.get("run_id")
+    if not isinstance(run_id, str) or run_id not in runs:
+        raise CheckpointError(f"checkpoint {path}: run_id {run_id!r} is not a run of its config")
+    arch, seed = runs[run_id]
+    for key, value in (("architecture", _arch_descriptor(arch)),
+                       ("activation", cfg.activation.name),
+                       ("iteration", cfg.train.iterations), ("seed", seed)):
+        if data.get(key) != value:
+            raise CheckpointError(
+                f"checkpoint {path}: {key} {data.get(key)!r} disagrees with its "
+                f"config, which gives {value!r} for run_id {run_id!r}")
     try:
-        act = activation_by_name(data["activation"])
-        iteration = _as_int(data.get("iteration", 0), "iteration", minimum=0)
-        seed = _as_int(data.get("seed", 0), "seed", minimum=0)
-    except (KeyError, ValueError) as e:
-        raise CheckpointError(f"checkpoint {path}: {e}")
+        vec = np.asarray(data.get("params", []), dtype=float)
+    except (TypeError, ValueError):
+        raise CheckpointError(f"checkpoint {path} carries non-numeric parameters")
+    if not np.all(np.isfinite(vec)):
+        raise CheckpointError(f"checkpoint {path} carries non-finite parameters")
+    expected = param_count(arch)
+    if vec.shape != (expected,):
+        raise CheckpointError(
+            f"checkpoint {path} carries {vec.size} parameters, "
+            f"expected {expected} for {arch}"
+        )
     return Checkpoint(
-        arch=arch, params=unpack_params(arch, vec), activation=act,
-        iteration=iteration, seed=seed,
-        config=cfg, run_id=str(data.get("run_id", "")),
+        arch=arch, params=unpack_params(arch, vec), activation=cfg.activation,
+        iteration=cfg.train.iterations, seed=seed, config=cfg, run_id=run_id,
     )
 
 
 def _metrics_override(cfg: ExperimentConfig, grid_h: float | None) -> MetricConfig:
     if grid_h is None:
         return cfg.metrics
-    return MetricConfig(grid=_grid_for(grid_h, "grid override"), zygmund=cfg.metrics.zygmund)
+    return replace(cfg.metrics, grid=_parse_grid(grid_h, "grid_h"))
 
 
 def eval_checkpoint(path, grid_h: float | None = None) -> dict:
     """Recompute the final summary metrics of a stored checkpoint.
 
     With no grid override this reproduces the run summary's "final" block
-    exactly (same code path, same inputs).
+    exactly (same code path, same inputs).  An override grid, like the
+    config's, must be split by the target's singular region.
     """
     ck = load_checkpoint(path)
+    mc = _metrics_override(ck.config, grid_h)
+    _check_region(ck.config.target, mc.grid, "grid_h")
     out, region_desc, _ = _final_summary(predictor(ck.params, ck.activation),
-                                         ck.config.target, _metrics_override(ck.config, grid_h))
+                                         ck.config.target, mc)
     return {"run_id": ck.run_id, "iteration": ck.iteration, "seed": ck.seed,
             "singular_region": region_desc, "final": out,
             "config_digest": ck.config.digest}

@@ -144,8 +144,8 @@ def localization_ratio(field: ScalarField, region) -> float | None:
 
 @dataclass(frozen=True)
 class MetricConfig:
-    grid: Grid2D
-    zygmund: ZygmundSpec
+    grid: Grid2D = Grid2D(h=1.0 / 128.0)
+    zygmund: ZygmundSpec = ZygmundSpec()
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._seeds import ROLE_BATCH, ROLE_GRID_BATCH, stream
 from .fdgrid import Grid2D, discrete_laplacian, laplacian_stencil
-from .metrics import MetricConfig, ZygmundSpec, approximation_report
+from .metrics import MetricConfig, approximation_report
 from .network import (
     Arch,
     Activation,
@@ -66,9 +66,10 @@ __all__ = [
 class LossSpec:
     """Which loss to train with.
 
-    kind is "l2" or "h2"; lam and h only matter for "h2".  lam = 0 is allowed
-    here (it reduces the H^2-type loss to least squares exactly); experiment
-    configs require lam > 0 for "h2" runs.
+    kind is "l2" or "h2"; lam and h only matter for "h2".  h must be a Grid2D
+    spacing, because the stencil centers are that grid's nodes.  lam = 0 is
+    allowed here (it reduces the H^2-type loss to least squares exactly);
+    experiment configs require lam > 0 for "h2" runs.
     """
 
     kind: str
@@ -80,15 +81,17 @@ class LossSpec:
             raise ValueError(f"loss kind must be 'l2' or 'h2', got {self.kind!r}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not self.h > 0:
-            raise ValueError(f"stencil spacing h must be positive, got {self.h}")
+        try:
+            Grid2D(h=self.h)
+        except ValueError as e:
+            raise ValueError(f"h must be a grid spacing: {e}")
 
 
 def l2_loss() -> LossSpec:
     return LossSpec(kind="l2")
 
 
-def h2_loss(lam: float = 1e-2, h: float = 1.0 / 128.0) -> LossSpec:
+def h2_loss(lam: float = LossSpec.lam, h: float = LossSpec.h) -> LossSpec:
     return LossSpec(kind="h2", lam=lam, h=h)
 
 
@@ -139,57 +142,15 @@ def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Adam
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Bias-corrected Adam moments; adam_step returns a new state, the inputs
-    are never mutated."""
-
-    step: int
-    m: np.ndarray
-    v: np.ndarray
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def fresh(cls, n_params: int, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(step=0, m=np.zeros(n_params), v=np.zeros(n_params),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-
-def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
-    """One Adam update: returns (advanced state, updated parameter vector).
-
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with the usual
-    bias-corrected first and second moments.  A zero gradient leaves theta
-    unchanged.
-    """
-    if theta.shape != grad.shape or theta.shape != state.m.shape:
-        raise ValueError(
-            f"shape mismatch: theta {theta.shape}, grad {grad.shape}, state {state.m.shape}"
-        )
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    theta_new = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return replace(state, step=t, m=m, v=v), theta_new
-
-
-# ---------------------------------------------------------------------------
-# training loop
+# training configuration and Adam
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training schedule and Adam's hyperparameters: the one place their
+    defaults and checks live."""
+
     iterations: int = 10_000
     batch_size: int = 2_048
     samples: int = 50_000
@@ -222,6 +183,52 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+
+
+@dataclass(frozen=True)
+class AdamState:
+    """Bias-corrected Adam moments; adam_step returns a new state, the inputs
+    are never mutated."""
+
+    step: int
+    m: np.ndarray
+    v: np.ndarray
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+
+    @classmethod
+    def fresh(cls, n_params: int, lr: float = TrainConfig.learning_rate,
+              beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
+              eps: float = TrainConfig.epsilon) -> "AdamState":
+        return cls(step=0, m=np.zeros(n_params), v=np.zeros(n_params),
+                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+
+
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
+    """One Adam update: returns (advanced state, updated parameter vector).
+
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with the usual
+    bias-corrected first and second moments.  A zero gradient leaves theta
+    unchanged.
+    """
+    if theta.shape != grad.shape or theta.shape != state.m.shape:
+        raise ValueError(
+            f"shape mismatch: theta {theta.shape}, grad {grad.shape}, state {state.m.shape}"
+        )
+    t = state.step + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    theta_new = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return replace(state, step=t, m=m, v=v), theta_new
+
+
+# ---------------------------------------------------------------------------
+# training loop
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -281,19 +288,14 @@ def _epoch_batches(n: int, batch_size: int, seed: int):
             yield perm[lo : lo + batch_size]
 
 
-def default_metric_config() -> MetricConfig:
-    return MetricConfig(grid=Grid2D(h=1.0 / 128.0), zygmund=ZygmundSpec())
-
-
 def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
-          metrics: MetricConfig | None = None) -> TrainResult:
+          metrics: MetricConfig = MetricConfig()) -> TrainResult:
     """Train a network on a target and log checkpointed error metrics.
 
     Checkpoints are recorded at iteration 0 (the untouched initialization),
     every cfg.checkpoint_interval steps, and at the final iteration.  Raises
     TrainingDiverged as soon as a non-finite training loss appears.
     """
-    mc = metrics if metrics is not None else default_metric_config()
     pool_x, pool_y = sample_uniform(target, cfg.samples, cfg.seed)
     params = init_params(arch, cfg.seed)
     state = AdamState.fresh(param_count(arch), lr=cfg.learning_rate,
@@ -309,7 +311,7 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     t0 = time.perf_counter()
 
     def checkpoint(iteration: int) -> None:
-        rep = approximation_report(predictor(params, act), target, mc)
+        rep = approximation_report(predictor(params, act), target, metrics)
         trace.rows.append(TraceRow(
             iteration=iteration,
             l2_error=rep.l2_error,

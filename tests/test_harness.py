@@ -66,10 +66,10 @@ def test_minimal_config_fills_defaults():
     assert cfg.archs == (MlpArch(n=10),)
     assert cfg.loss.kind == "l2"
     assert cfg.seeds == (0, 1, 2)
-    assert cfg.train["iterations"] == 10_000
-    assert cfg.train["batch_size"] == 2_048
-    assert cfg.train["samples"] == 50_000
-    assert cfg.train["adam"] == {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
+    assert cfg.train.iterations == 10_000
+    assert cfg.train.batch_size == 2_048
+    assert cfg.train.samples == 50_000
+    assert (cfg.train.beta1, cfg.train.beta2, cfg.train.epsilon) == (0.9, 0.999, 1e-8)
     assert cfg.metrics.grid.h == 1.0 / 128.0
     assert cfg.metrics.zygmund.alpha == 0.8
     # default output location is derived from the digest
@@ -123,8 +123,17 @@ def test_bad_values_rejected():
         parse_config({**base, "loss": {"kind": "h2", "lambda": 0.0}})
     with pytest.raises(ConfigError, match="lambda must be a finite number"):
         parse_config({**base, "loss": {"kind": "h2", "lambda": math.inf}})
-    with pytest.raises(ConfigError, match="beta must be a finite number"):
-        parse_config({**base, "target": {"kind": "cone", "beta": math.inf}})
+    # each dataclass's error names the config path of the field it rejects
+    for section, bad, message in (
+            ("target", {"kind": "cone", "beta": math.inf}, r"target\.beta must be a finite"),
+            ("target", {"kind": "cone", "beta": "steep"}, r"target\.beta must be a number"),
+            ("target", {"kind": "circle", "eps": 0.0}, r"target\.eps must be positive"),
+            ("loss", {"kind": "h2", "lambda": -0.5}, r"loss\.lambda must be >= 0"),
+            ("loss", {"kind": "h2", "h": 0.01}, r"loss\.h must be a grid spacing"),
+            ("metrics", {"zygmund": {"alpha": 1.5}}, r"metrics\.zygmund\.alpha must lie"),
+            ("metrics", {"zygmund": {"k_max": 0}}, r"metrics\.zygmund\.k_max must be >= 1")):
+        with pytest.raises(ConfigError, match="^" + message):
+            parse_config({**base, section: bad})
     with pytest.raises(ConfigError, match="exactly one"):
         parse_config({**base, "arch": {"mlp": 4, "mmlp": 4}})
     with pytest.raises(ConfigError, match="matched_pair"):
@@ -198,8 +207,8 @@ def test_load_config_errors(tmp_path):
 def test_desk_config_shape():
     cfg = parse_config(desk_config())
     assert cfg.archs == (MlpArch(n=80), MmlpArch(n_b=64))
-    assert cfg.train["iterations"] == 2000
-    assert cfg.train["batch_size"] == 512
+    assert cfg.train.iterations == 2000
+    assert cfg.train.batch_size == 512
     assert cfg.metrics.grid.h == 1.0 / 32.0
     h2 = parse_config(desk_config(loss="h2"))
     assert h2.loss.kind == "h2" and h2.loss.lam == 1e-2 and h2.loss.h == 1.0 / 128.0
@@ -377,8 +386,11 @@ def test_export_field_round_trip(finished_run, tmp_path):
     assert read_field_csv(finer).grid.h == 1.0 / 8.0
 
 
-def test_checkpoint_rejects_tampering(finished_run, tmp_path):
-    _, rec = finished_run
+def test_checkpoint_rejects_tampering(tmp_path):
+    # mlp5 and mmlp4 both have 21 parameters, so a swapped kind fits the vector
+    cfg = parse_config(micro_config(tmp_path, arch={"matched_pair": 4}, seeds=[0]))
+    rec = run_experiment(cfg).records[1]
+    assert rec.run_id == "mmlp4_gaussian_l2_seed0"
     data = json.loads(rec.checkpoint_path.read_text())
 
     def write_variant(mutate):
@@ -407,10 +419,22 @@ def test_checkpoint_rejects_tampering(finished_run, tmp_path):
     with pytest.raises(CheckpointError, match="config"):
         load_checkpoint(p)
 
+    # the run comes from the embedded config; its stored copies must agree
+    for key, bad, named in (("architecture", {"kind": "mlp", "units": 5, "m": 2}, None),
+                            ("activation", "tanh", None),
+                            ("seed", 1, None),
+                            ("iteration", 3, None),
+                            ("run_id", "mlp5_gaussian_l2_seed0", "architecture"),
+                            ("run_id", "mmlp4_gaussian_l2_seed7", None)):
+        p = write_variant(lambda d: d.update({key: bad}))
+        with pytest.raises(CheckpointError, match=f"^checkpoint .*: {named or key} "):
+            load_checkpoint(p)
+
     # fields outside the digest are checked too, never a bare traceback
     for key, bad in (("architecture", {"kind": "mlp", "units": "5", "m": 2}),
                      ("activation", ["x"]),
                      ("iteration", None),
+                     ("run_id", ["x"]),
                      ("params", ["x"] * len(data["params"])),
                      ("params", [math.nan] + data["params"][1:]),
                      ("params", data["params"][:-1] + [math.inf])):
@@ -473,6 +497,15 @@ def test_cli_run_eval_export(tmp_path, capsys):
     capsys.readouterr()
     assert read_field_csv(dest).grid.h == 1.0 / 8.0
 
+    # no node of the 2x2-cell grid lies in the cone's singular disk: the
+    # localization ratio is undefined there, but the error field is not
+    assert main(["eval", str(ck), "--grid", "2"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "singular region" in err["message"]
+    assert main(["export-field", str(ck), "--out", str(dest), "--grid", "2"]) == 0
+    capsys.readouterr()
+    assert read_field_csv(dest).grid.h == 2.0
+
 
 def test_cli_eval_missing_checkpoint(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "none.json")]) == 1
@@ -480,7 +513,7 @@ def test_cli_eval_missing_checkpoint(tmp_path, capsys):
     assert err["error"] == "checkpoint"
 
 
-@pytest.mark.parametrize("grid", ["1/0", "1/2/3", "abc"])
+@pytest.mark.parametrize("grid", ["1/0", "1/2/3", "abc", "1/3"])
 @pytest.mark.parametrize("command", [["eval", "checkpoint.json"], ["mollifier-demo"]])
 def test_cli_bad_grid_is_one_json_error(command, grid, capsys):
     assert main([*command, "--grid", grid]) == 1

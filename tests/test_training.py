@@ -54,8 +54,9 @@ def test_loss_spec_validation():
         LossSpec(kind="h3")
     with pytest.raises(ValueError):
         LossSpec(kind="h2", lam=-0.1)
-    with pytest.raises(ValueError):
-        LossSpec(kind="h2", h=0.0)
+    for h in (0.0, 0.01):  # the stencil centers are nodes of Grid2D(h)
+        with pytest.raises(ValueError, match="grid spacing"):
+            LossSpec(kind="h2", h=h)
     # lam = 0 is legal at this level: it reduces the penalty to nothing
     LossSpec(kind="h2", lam=0.0)
 
