@@ -16,11 +16,14 @@ from prodmlp import (
     TrainConfig,
     ZygmundSpec,
     annulus_region,
-    error_field,
+    approximation_report,
+    grid_values,
     l2_loss,
     localization_ratio,
-    predictor,
+    node_error_field,
+    sample_widened,
     train,
+    widened_axis,
 )
 
 target = MollifiedCircle()
@@ -32,12 +35,14 @@ cfg = TrainConfig(iterations=600, batch_size=128, samples=4000,
 print("training both families on the mollified circle (600 steps each)\n")
 for arch in (MlpArch(20), MmlpArch(16)):
     result = train(arch, GAUSSIAN_BUMP, target, l2_loss(), cfg, metrics=metrics)
-    F = predictor(result.params, GAUSSIAN_BUMP)
-    efield = error_field(F, target, metrics.grid)
-    ratio = localization_ratio(efield, region)
-    final = result.trace.rows[-1]
+    # F - f on the metric grid widened by the Zygmund margin: the error field
+    # and every metric are slices of this one array
+    axis = widened_axis(metrics)
+    err = grid_values(result.params, GAUSSIAN_BUMP, axis, axis) - sample_widened(target, metrics)
+    ratio = localization_ratio(node_error_field(err, metrics), region)
+    report = approximation_report(err, metrics)
     print(f"{arch!r}")
-    print(f"  final l2 error          {final.l2_error:.5f}")
+    print(f"  final l2 error          {report.l2_error:.5f}")
     print(f"  localization ratio on the transition annulus "
           f"|r - {target.r0}| < {3 * target.eps:.2f}: {ratio:.3f}")
     print()

@@ -38,9 +38,11 @@ from .metrics import (
     annulus_region,
     approximation_report,
     disk_region,
-    error_field,
     h2_error,
     localization_ratio,
+    node_error_field,
+    sample_widened,
+    widened_axis,
     zygmund_seminorm,
 )
 from .mollifier import (
@@ -62,6 +64,7 @@ from .network import (
     activation_by_name,
     forward,
     grad_params,
+    grid_values,
     init_params,
     matched_additive_width,
     pack_params,

@@ -63,8 +63,7 @@ class Grid2D:
     def node_array(self) -> np.ndarray:
         """All nodes as (nodes_per_axis**2, 2), x-index outermost."""
         ax = self.axis()
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+        return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 @dataclass

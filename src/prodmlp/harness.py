@@ -25,8 +25,8 @@ Artifacts per run, under the output directory:
     <run_id>_summary.json     initial/final metrics, localization ratio
 
 plus one experiment_summary.json with per-run summaries and per-architecture
-medians across seeds.  The environment variable PRODMLP_OUTPUT_ROOT, when
-set, becomes the base directory for relative output paths.
+medians across seeds.  Final metrics and error fields read one F - f array on
+the widened metric grid.  PRODMLP_OUTPUT_ROOT sets the base of relative output paths.
 """
 
 import hashlib
@@ -46,8 +46,10 @@ from .metrics import (
     annulus_region,
     approximation_report,
     disk_region,
-    error_field,
     localization_ratio,
+    node_error_field,
+    sample_widened,
+    widened_axis,
 )
 from .network import (
     Arch,
@@ -55,11 +57,11 @@ from .network import (
     MlpArch,
     MmlpArch,
     activation_by_name,
+    grid_values,
     matched_additive_width,
     near_zero_factor_weights,
     pack_params,
     param_count,
-    predictor,
     unpack_params,
 )
 from .targets import MollifiedCircle, RadialCone, TargetFunction
@@ -471,12 +473,19 @@ def _metric_dict(report) -> dict:
             "zygmund_error": report.zygmund_error}
 
 
-def _final_summary(F, target: TargetFunction, mc: MetricConfig):
+def _widened_error(params, act: Activation, target: TargetFunction, mc: MetricConfig):
+    """F - f on the widened metric grid, which every final metric and field reads."""
+    axis = widened_axis(mc)
+    return grid_values(params, act, axis, axis) - sample_widened(target, mc)
+
+
+def _final_summary(params, act: Activation, target: TargetFunction, mc: MetricConfig):
     """Final metrics + localization ratio for the target's singular region,
-    plus the error field; export_field writes the same error_field bitwise."""
+    plus the error field, all from one widened F - f array."""
     region, region_desc = _singular_region(target)
-    efield = error_field(F, target, mc.grid)
-    out = _metric_dict(approximation_report(F, target, mc))
+    err = _widened_error(params, act, target, mc)
+    efield = node_error_field(err, mc)
+    out = _metric_dict(approximation_report(err, mc))
     out["localization_ratio"] = localization_ratio(efield, region)
     return out, region_desc, efield
 
@@ -559,7 +568,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
             write_trace_csv(result.trace, paths["trace"])
             final, region_desc, efield = _final_summary(
-                predictor(result.params, cfg.activation), cfg.target, cfg.metrics)
+                result.params, cfg.activation, cfg.target, cfg.metrics)
             write_field_csv(efield, paths["field"])
 
             first = result.trace.rows[0]
@@ -717,19 +726,19 @@ def eval_checkpoint(path, grid_h: float | None = None) -> dict:
     ck = load_checkpoint(path)
     mc = _metrics_override(ck.config, grid_h)
     _check_region(ck.config.target, mc.grid, "grid_h")
-    out, region_desc, _ = _final_summary(predictor(ck.params, ck.activation),
-                                         ck.config.target, mc)
+    out, region_desc, _ = _final_summary(ck.params, ck.activation, ck.config.target, mc)
     return {"run_id": ck.run_id, "iteration": ck.iteration, "seed": ck.seed,
             "singular_region": region_desc, "final": out,
             "config_digest": ck.config.digest}
 
 
 def export_field(path, out_path, grid_h: float | None = None) -> Path:
-    """Write the |F - f| error field of a checkpoint to a CSV file."""
+    """Write the |F - f| error field of a checkpoint to a CSV file; on the
+    config's own grid its bytes are those of the run's error-field CSV."""
     ck = load_checkpoint(path)
     mc = _metrics_override(ck.config, grid_h)
-    F = predictor(ck.params, ck.activation)
-    efield = error_field(F, ck.config.target, mc.grid)
+    err = _widened_error(ck.params, ck.activation, ck.config.target, mc)
+    efield = node_error_field(err, mc)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_field_csv(efield, out_path)

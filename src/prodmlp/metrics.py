@@ -6,22 +6,25 @@ seminorm built from second differences, an H^2-type error that adds a
 discrete-Laplacian mismatch to the L2 term, and a localization ratio that
 measures how much of the squared error mass piles up in a chosen region.
 
-The L2, H^2-type and Zygmund errors all come from one evaluation of F - f on
-the metric grid widened by the Zygmund margin; each reads shifted slices of
-that one array.
+Every metric reads one array, F - f on the metric grid widened by the
+Zygmund margin: the L2, H^2-type and Zygmund errors are shifted slices of
+it, and the error field is |F - f| on its block of metric-grid nodes.
+network.grid_values fills it for a network, sample_widened for a callable.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fdgrid import Grid2D, ScalarField, laplacian_stencil, sample_field
+from .fdgrid import Grid2D, ScalarField, laplacian_stencil
 
 __all__ = [
     "ZygmundSpec",
     "zygmund_seminorm",
     "h2_error",
-    "error_field",
+    "widened_axis",
+    "sample_widened",
+    "node_error_field",
     "localization_ratio",
     "disk_region",
     "annulus_region",
@@ -84,7 +87,8 @@ def zygmund_seminorm(u, spec: ZygmundSpec, grid: Grid2D) -> float:
     u is evaluated wherever the increments land, including outside
     [-1, 1]^2 near the boundary; no increment is dropped.
     """
-    return _widened_report(u, grid, spec).zygmund_error
+    mc = MetricConfig(grid, spec)
+    return approximation_report(sample_widened(u, mc), mc).zygmund_error
 
 
 def h2_error(F, f, grid: Grid2D) -> float:
@@ -95,12 +99,8 @@ def h2_error(F, f, grid: Grid2D) -> float:
     with lap_h the 5-point discrete Laplacian at the grid spacing.
     """
     # k_max = 1 widens the grid by the one node the stencil needs
-    return approximation_report(F, f, MetricConfig(grid, ZygmundSpec(k_max=1))).h2_error
-
-
-def error_field(F, f, grid: Grid2D) -> ScalarField:
-    """Pointwise absolute error |F - f| sampled on the grid."""
-    return sample_field(lambda x: np.abs(np.asarray(F(x)) - np.asarray(f(x))), grid)
+    mc = MetricConfig(grid, ZygmundSpec(k_max=1))
+    return approximation_report(sample_widened(F, mc) - sample_widened(f, mc), mc).h2_error
 
 
 def disk_region(radius: float):
@@ -155,25 +155,43 @@ class MetricReport:
     zygmund_error: float
 
 
-def _widened_report(u, grid: Grid2D, spec: ZygmundSpec) -> MetricReport:
-    """L2, H^2-type and Zygmund values of u from one evaluation of u on the
-    grid widened by spec's margin of k_max * stride nodes per side.
+def widened_axis(mc: MetricConfig) -> np.ndarray:
+    """Per-axis nodes of the metric grid widened by k_max Zygmund strides per
+    side: they hold every node, stencil point and increment of the metrics,
+    and node arithmetic is dyadic, so slicing reproduces direct evaluation."""
+    margin = mc.zygmund.k_max * mc.zygmund.resolved_h(mc.grid)[1]
+    return -1.0 + mc.grid.h * np.arange(-margin, mc.grid.divisions + margin + 1)
 
-    Every node, stencil point and increment is a node of the widened grid, and
-    node arithmetic is dyadic, so slicing reproduces direct evaluation bitwise.
-    """
+
+def sample_widened(u, mc: MetricConfig) -> np.ndarray:
+    """A vectorized callable u of points (k, 2), sampled on the widened grid."""
+    ax = widened_axis(mc)
+    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    return np.asarray(u(pts), dtype=float).reshape(len(ax), len(ax))
+
+
+def _blocks(err: np.ndarray, mc: MetricConfig):
+    """block(di, dj): the metric-grid nodes' block of err shifted by (di, dj) nodes."""
+    n, side = mc.grid.nodes_per_axis, len(widened_axis(mc))
+    margin = (side - n) // 2
+    if np.shape(err) != (side, side):
+        raise ValueError(f"error array has shape {np.shape(err)}, not the widened grid's")
+    return lambda di=0, dj=0: err[margin + di : margin + di + n, margin + dj : margin + dj + n]
+
+
+def node_error_field(err: np.ndarray, mc: MetricConfig) -> ScalarField:
+    """|F - f| at the metric-grid nodes, from the widened F - f array."""
+    return ScalarField(grid=mc.grid, values=np.abs(_blocks(err, mc)()))
+
+
+def approximation_report(err: np.ndarray, mc: MetricConfig) -> MetricReport:
+    """L2, H^2-type and Zygmund errors from the widened F - f array: L2 from
+    the node block, the Laplacian mismatch from five shifted blocks weighted
+    by the 5-point stencil, and the Zygmund entry, the seminorm of the error
+    function F - f, from the increment blocks."""
+    block = _blocks(err, mc)
+    grid, spec = mc.grid, mc.zygmund
     h_z, stride = spec.resolved_h(grid)
-    margin = spec.k_max * stride
-    n = grid.nodes_per_axis
-    ext_ax = -1.0 + grid.h * np.arange(-margin, grid.divisions + margin + 1)
-    gx, gy = np.meshgrid(ext_ax, ext_ax, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    v = np.asarray(u(pts), dtype=float).reshape(len(ext_ax), len(ext_ax))
-
-    def block(di: int = 0, dj: int = 0) -> np.ndarray:
-        return v[margin + di : margin + di + n, margin + dj : margin + dj + n]
-
-    # the 5-point Laplacian as coefficient-weighted shifted slices
     offsets, coeffs = laplacian_stencil(grid.h)
     lap = sum(c * block(*np.rint(o / grid.h).astype(int)) for o, c in zip(offsets, coeffs))
     sq, lap_sq = float(np.mean(block() ** 2)), float(np.mean(lap**2))
@@ -192,15 +210,3 @@ def _widened_report(u, grid: Grid2D, spec: ZygmundSpec) -> MetricReport:
             best = float(np.maximum(best, np.abs(second).max() / vlen**expo))
     return MetricReport(l2_error=float(np.sqrt(sq)), h2_error=float(np.sqrt(sq + lap_sq)),
                         zygmund_error=best)
-
-
-def approximation_report(F, f, mc: MetricConfig) -> MetricReport:
-    """L2, H^2-type and Zygmund errors of F against f on the metric grid.
-
-    All three come from one evaluation of F - f on the metric grid widened by
-    the Zygmund margin: L2 from the node slice, the Laplacian mismatch from
-    five shifted slices, and the Zygmund entry, the seminorm of the error
-    function F - f, from the increment slices.
-    """
-    diff = lambda x: np.asarray(F(x), dtype=float) - np.asarray(f(x), dtype=float)
-    return _widened_report(diff, mc.grid, mc.zygmund)

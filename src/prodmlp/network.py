@@ -26,7 +26,7 @@ Flat parameter layout (used by the optimizer and by checkpoints):
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
     "pack_params",
     "unpack_params",
     "forward",
+    "grid_values",
     "grad_params",
     "weighted_grad_sum",
     "predictor",
@@ -61,27 +62,27 @@ class Activation:
 
     df_from_f recovers the derivative from z and the already-computed value
     sigma(z), sparing a second transcendental evaluation in hot loops; it must
-    agree with df bitwise.
+    agree with df bitwise.  f and df_from_f take an optional out= like ufuncs.
     """
 
     name: str
-    f: Callable[[np.ndarray], np.ndarray]
+    f: Callable[..., np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    df_from_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    df_from_f: Callable[..., np.ndarray]
 
 
 TANH = Activation(
     "tanh",
     np.tanh,
     lambda z: 1.0 - np.tanh(z) ** 2,
-    lambda z, s: 1.0 - s**2,
+    lambda z, s, out=None: np.subtract(1.0, np.square(s, out=out), out=out),
 )
 # smooth, even, rapidly decaying bump; integrable on the line unlike tanh
 GAUSSIAN_BUMP = Activation(
     "gaussian",
-    lambda z: np.exp(-(z * z)),
+    lambda z, out=None: np.exp(np.negative(np.multiply(z, z, out=out), out=out), out=out),
     lambda z: -2.0 * z * np.exp(-(z * z)),
-    lambda z, s: -2.0 * z * s,
+    lambda z, s, out=None: np.multiply(np.multiply(-2.0, z, out=out), s, out=out),
 )
 
 _ACTIVATIONS = {a.name: a for a in (TANH, GAUSSIAN_BUMP)}
@@ -237,47 +238,85 @@ def _as_batch(x: np.ndarray, m: int):
     return x, single
 
 
-def _forward_cache(p: NetworkParams, act: Activation, xb: np.ndarray):
+def _work(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialised (..., rows, units) array: fresh without a buffer set,
+    else a leading-row view of the set's array of that name and shape, which
+    grows to the largest row count asked for."""
+    if buffers is None:
+        return np.empty(shape)
+    key = (name, *shape[:-2], shape[-1])
+    if key not in buffers or buffers[key].shape[-2] < shape[-2]:
+        buffers[key] = np.empty(shape)
+    return buffers[key][..., : shape[-2], :]
+
+
+def _forward_cache(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None):
     """Batch forward pass returning (values, cache of intermediates).
 
     The cache (z, s, h) holds the pre-activations, the activations and the
-    (batch, units) hidden features that alpha weighs: h = s for ridge units
-    and the block products for product blocks.  For product blocks z and s
-    are (batch, n_b, m); coordinate i's factors form the plane s[..., i], a
-    view.  The cache feeds _weighted_grad_cached so a loss step evaluates
-    each transcendental exactly once.
+    (batch, units) hidden features that alpha weighs: h = s for ridge units,
+    the block products for product blocks, whose z and s are contiguous
+    per-coordinate planes (m, batch, n_b).  _weighted_grad_cached reuses it,
+    so a step evaluates each transcendental once, in a buffer set's arrays if given.
     """
     if isinstance(p, MlpParams):
-        z = xb @ p.w.T + p.b            # (batch, n)
-        s = h = act.f(z)
+        z = np.matmul(xb, p.w.T, out=_work(buffers, "z", (len(xb), p.w.shape[0])))
+        z += p.b
+        s = h = act.f(z, out=_work(buffers, "s", z.shape))
     elif isinstance(p, MmlpParams):
-        z = xb[:, None, :] * p.w[None, :, :] + p.b[None, :, :]  # (batch, n_b, m)
-        s = act.f(z)
-        h = reduce(np.multiply, [s[..., i] for i in range(p.w.shape[1])])
+        z = _work(buffers, "z", (p.w.shape[1], len(xb), p.w.shape[0]))
+        for i, z_i in enumerate(z):
+            np.add(np.multiply.outer(xb[:, i], p.w[:, i], out=z_i), p.b[:, i], out=z_i)
+        s = act.f(z, out=_work(buffers, "s", z.shape))
+        h = s[0] if len(s) == 1 else reduce(
+            partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
     else:
         raise TypeError(f"not a parameter container: {p!r}")
     return h @ p.alpha + p.c, (z, s, h)
 
 
 def _weighted_grad_cached(p: NetworkParams, act: Activation, xb: np.ndarray,
-                          coef: np.ndarray, cache) -> np.ndarray:
+                          coef: np.ndarray, cache, buffers=None) -> np.ndarray:
     z, s, h = cache
     if isinstance(p, MlpParams):
-        t = act.df_from_f(z, s) * p.alpha[None, :]   # dF/db per sample, (batch, n)
+        t = act.df_from_f(z, s, out=_work(buffers, "t", z.shape))
+        t *= p.alpha                                 # dF/db per sample, (batch, n)
         d_b = coef @ t
-        d_w = (t * coef[:, None]).T @ xb             # (n, m)
+        t *= coef[:, None]
+        d_w = t.T @ xb                               # (n, m)
     else:
         # coordinate i's factor times the product of the other planes; a plain
         # product with no division, so factors that are exactly zero stay exact
-        d_b = np.empty_like(p.b)
-        d_w = np.empty_like(p.w)
-        planes = [s[..., i] for i in range(p.w.shape[1])]
-        for i, s_i in enumerate(planes):
-            loo = reduce(np.multiply, planes[:i] + planes[i + 1 :], 1.0)
-            t = p.alpha[None, :] * act.df_from_f(z[..., i], s_i) * loo   # dF/db_ij, (batch, n_b)
+        m = p.w.shape[1]
+        d_b, d_w = np.empty_like(p.b), np.empty_like(p.w)
+        t = _work(buffers, "t", h.shape)
+        loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
+        for i in range(m):
+            t = np.multiply(act.df_from_f(z[i], s[i], out=t), p.alpha, out=t)  # dF/db_ij
+            if m > 1:
+                t *= reduce(loo, [s[j] for j in range(m) if j != i])
             d_b[:, i] = np.einsum("k,kj->j", coef, t)
             d_w[:, i] = np.einsum("k,kj,k->j", coef, t, xb[:, i])
     return np.concatenate([d_w.ravel(), d_b.ravel(), coef @ h, [coef.sum()]])
+
+
+def grid_values(p: NetworkParams, act: Activation, ax, ay) -> np.ndarray:
+    """F at the tensor-grid nodes (ax[i], ay[j]) of R^2, a (len(ax), len(ay)) array.
+
+    Product blocks separate, so on a grid they form a rank-n_b matrix,
+    (sigma(ax w_0 + b_0) * alpha) @ sigma(ay w_1 + b_1)^T + c.  Ridge units
+    are evaluated one grid row at a time in one reused (len(ay), n) buffer,
+    so memory scales with an axis, not with the grid's area."""
+    if p.w.shape[1] != 2:
+        raise ValueError(f"grid_values needs a network on R^2, got m={p.w.shape[1]}")
+    if isinstance(p, MmlpParams):
+        fx = act.f(np.multiply.outer(ax, p.w[:, 0]) + p.b[:, 0])
+        fy = act.f(np.multiply.outer(ay, p.w[:, 1]) + p.b[:, 1])
+        return (fx * p.alpha) @ fy.T + p.c
+    zx = np.multiply.outer(ax, p.w[:, 0])
+    zy = np.multiply.outer(ay, p.w[:, 1]) + p.b
+    row = np.empty_like(zy)
+    return np.array([act.f(np.add(r, zy, out=row), out=row) @ p.alpha for r in zx]) + p.c
 
 
 def forward(p: NetworkParams, act: Activation, x: np.ndarray):

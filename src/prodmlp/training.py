@@ -19,7 +19,8 @@ squares term consumes shuffled minibatches of a fixed uniform sample pool
 (full passes without replacement), while the Laplacian term draws minibatches
 of stencil centers uniformly from the grid nodes at the loss spacing.  All
 streams are keyed by (seed, role), so two architectures trained with the same
-seed consume identical pools and batch orders.
+seed consume identical pools and batch orders.  Steps reuse per-run work
+arrays; checkpoints read network.grid_values on the widened metric grid.
 """
 
 import time
@@ -29,17 +30,17 @@ import numpy as np
 
 from ._seeds import ROLE_BATCH, ROLE_GRID_BATCH, stream
 from .fdgrid import Grid2D, discrete_laplacian, laplacian_stencil
-from .metrics import MetricConfig, approximation_report
+from .metrics import MetricConfig, approximation_report, sample_widened, widened_axis
 from .network import (
     Arch,
     Activation,
     NetworkParams,
     _forward_cache,
     _weighted_grad_cached,
+    grid_values,
     init_params,
     pack_params,
     param_count,
-    predictor,
     unpack_params,
 )
 from .targets import sample_uniform
@@ -100,27 +101,24 @@ def h2_loss(lam: float = LossSpec.lam, h: float = LossSpec.h) -> LossSpec:
 # ---------------------------------------------------------------------------
 
 
-def _mismatch(p, act, pts, coeffs, data, weight):
+def _mismatch(p, act, pts, coeffs, data, weight, buffers):
     """One loss term, weight * mean |r|^2, and its exact gradient.
 
     pts stacks len(coeffs) point sets of len(data) points each, and
     r = sum_s coeffs[s] * F(pts[s]) - data.  r is linear in the network's
     values, so the gradient is one coefficient-weighted sum of network
-    gradients at the stacked points.  The forward cache dies with the call,
-    so the L2 term's intermediates are freed before the larger stencil pass
-    allocates; a smaller per-step peak keeps the allocator from returning
-    the heap to the OS (and faulting it back in) every step.
+    gradients at the stacked points.
     """
-    out, cache = _forward_cache(p, act, pts)
+    out, cache = _forward_cache(p, act, pts, buffers)
     r = coeffs @ out.reshape(len(coeffs), -1) - data
     coef = (2.0 * weight / r.size) * (coeffs[:, None] * r[None, :])
-    grad = _weighted_grad_cached(p, act, pts, coef.reshape(-1), cache)
+    grad = _weighted_grad_cached(p, act, pts, coef.reshape(-1), cache, buffers)
     return weight * float(np.mean(r * r)), grad
 
 
 def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
               y: np.ndarray, centers: np.ndarray | None = None,
-              lap_y: np.ndarray | None = None):
+              lap_y: np.ndarray | None = None, buffers: dict | None = None):
     """Loss terms and the exact gradient of their sum: ((l2, laplacian), grad).
 
     The least-squares term compares F(x) with the values y (a one-point
@@ -128,15 +126,17 @@ def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
     Laplacian of F at the stencil centers with lap_y, the target's discrete
     Laplacian there, weighted by spec.lam; lam = 0 makes it exactly 0.0 and
     leaves the gradient exactly the L2 one.
+    buffers, a dict that train keeps for a run, holds the network's work
+    arrays across calls; with None they are fresh.  Results are bitwise equal.
     """
-    l2, grad = _mismatch(p, act, x, np.ones(1), y, 1.0)
+    l2, grad = _mismatch(p, act, x, np.ones(1), y, 1.0, buffers)
     if spec.kind == "l2":
         return (l2,), grad
     if centers is None or lap_y is None:
         raise ValueError("the h2 objective needs stencil centers and lap_y")
     offsets, coeffs = laplacian_stencil(spec.h)
     pts = (centers[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
-    lap, lap_grad = _mismatch(p, act, pts, coeffs, lap_y, spec.lam)
+    lap, lap_grad = _mismatch(p, act, pts, coeffs, lap_y, spec.lam, buffers)
     grad += lap_grad
     return (l2, lap), grad
 
@@ -308,10 +308,14 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
 
     trace = TrainingTrace()
     losses = np.empty(cfg.iterations)
+    buffers = {}
+    # the target is fixed, so its values on the widened metric grid are too
+    axis = widened_axis(metrics)
+    target_values = sample_widened(target, metrics)
     t0 = time.perf_counter()
 
     def checkpoint(iteration: int) -> None:
-        rep = approximation_report(predictor(params, act), target, metrics)
+        rep = approximation_report(grid_values(params, act, axis, axis) - target_values, metrics)
         trace.rows.append(TraceRow(
             iteration=iteration,
             l2_error=rep.l2_error,
@@ -327,7 +331,7 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
         if spec.kind == "h2":
             centers = grid_nodes[grid_rng.integers(0, len(grid_nodes), size=cfg.batch_size)]
             lap_y = discrete_laplacian(target, centers, spec.h)
-        terms, g = objective(params, act, spec, pool_x[idx], pool_y[idx], centers, lap_y)
+        terms, g = objective(params, act, spec, pool_x[idx], pool_y[idx], centers, lap_y, buffers)
         loss_val = sum(terms)
         if not np.isfinite(loss_val):
             trace.batch_losses = losses[: it - 1]

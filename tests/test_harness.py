@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,14 @@ import pytest
 from prodmlp import (
     CheckpointError,
     ConfigError,
+    MetricConfig,
     MlpArch,
     MmlpArch,
     MollifiedCircle,
     RadialCone,
     eval_checkpoint,
     export_field,
+    init_params,
     load_checkpoint,
     load_config,
     parse_config,
@@ -28,6 +31,7 @@ from prodmlp.cli import main
 from prodmlp.harness import (
     CHECKPOINT_FORMAT,
     OUTPUT_ROOT_ENV,
+    _final_summary,
     config_digest,
     desk_config,
     resolve_output_dir,
@@ -384,6 +388,23 @@ def test_export_field_round_trip(finished_run, tmp_path):
     finer = tmp_path / "finer.csv"
     export_field(rec.checkpoint_path, finer, grid_h=1.0 / 8.0)
     assert read_field_csv(finer).grid.h == 1.0 / 8.0
+
+
+@pytest.mark.parametrize("arch", [MlpArch(1280), MmlpArch(1024)], ids=["mlp1280", "mmlp1024"])
+def test_final_summary_memory_is_bounded_at_paper_scale(arch):
+    # report, error field and localization ratio of a paper-width network on
+    # the default h = 1/128 metric grid (273**2 widened nodes): the grid
+    # evaluator's memory scales with an axis, so the traced peak is about 10 MB
+    tracemalloc.start()
+    try:
+        final, _, efield = _final_summary(init_params(arch, 0), GAUSSIAN_BUMP, RadialCone(),
+                                          MetricConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"{peak / 2**20:.0f} MB"
+    assert efield.values.shape == (257, 257)
+    assert all(np.isfinite(v) for v in final.values())
 
 
 def test_checkpoint_rejects_tampering(tmp_path):

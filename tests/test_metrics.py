@@ -10,10 +10,12 @@ from prodmlp import (
     annulus_region,
     approximation_report,
     disk_region,
-    error_field,
     h2_error,
     localization_ratio,
+    node_error_field,
     sample_field,
+    sample_widened,
+    widened_axis,
     zygmund_seminorm,
 )
 from prodmlp.fdgrid import ScalarField, discrete_laplacian
@@ -238,11 +240,18 @@ def test_localization_ratio_improper_region():
         localization_ratio(field, annulus_region(0.3, 0.01))
 
 
+def widened_error(F, f, mc):
+    """F - f sampled on the metric grid widened by the Zygmund margin."""
+    return sample_widened(F, mc) - sample_widened(f, mc)
+
+
 def test_error_field_values():
     grid = Grid2D(h=0.5)
+    mc = MetricConfig(grid=grid)
     F = lambda x: x[..., 0]
     f = lambda x: x[..., 1]
-    ef = error_field(F, f, grid)
+    ef = node_error_field(widened_error(F, f, mc), mc)
+    assert ef.grid == grid
     direct = sample_field(lambda x: np.abs(x[..., 0] - x[..., 1]), grid)
     assert np.array_equal(ef.values, direct.values)
     assert np.all(ef.values >= 0)
@@ -257,7 +266,7 @@ def test_approximation_report_consistency():
     mc = MetricConfig(grid=GRID8, zygmund=ZygmundSpec(k_max=2))
     F = lambda x: np.tanh(2 * x[..., 0] + x[..., 1])
     f = lambda x: np.tanh(2 * x[..., 0])
-    rep = approximation_report(F, f, mc)
+    rep = approximation_report(widened_error(F, f, mc), mc)
     nodes = GRID8.node_array()
     l2_direct = float(np.sqrt(np.mean((F(nodes) - f(nodes)) ** 2)))
     assert abs(rep.l2_error - l2_direct) < 1e-14
@@ -271,7 +280,7 @@ def test_approximation_report_consistency():
 def test_approximation_report_perfect_fit():
     mc = MetricConfig(grid=Grid2D(h=0.25), zygmund=ZygmundSpec(k_max=2))
     F = lambda x: 0.5 * x[..., 0] + 1.0
-    rep = approximation_report(F, F, mc)
+    rep = approximation_report(widened_error(F, F, mc), mc)
     assert rep.l2_error == 0.0
     assert rep.h2_error == 0.0
     assert rep.zygmund_error == 0.0
@@ -281,15 +290,16 @@ def test_approximation_report_propagates_nan():
     # a NaN in F must surface in every error, never as a finite Zygmund value
     mc = MetricConfig(grid=GRID8, zygmund=ZygmundSpec(k_max=2))
     F = lambda x: np.where(np.all(x == 0.0, axis=-1), np.nan, x[..., 0] ** 2)
-    rep = approximation_report(F, lambda x: 0.0 * x[..., 0], mc)
+    rep = approximation_report(widened_error(F, lambda x: 0.0 * x[..., 0], mc), mc)
     assert np.isnan(rep.l2_error)
     assert np.isnan(rep.h2_error)
     assert np.isnan(rep.zygmund_error)
 
 
 def test_approximation_report_evaluates_once_on_the_widened_grid():
-    # every metric reads slices of one evaluation on the grid widened by
-    # k_max * stride nodes per side: (17 + 2 * 2)**2 and (17 + 2 * 2 * 2)**2
+    # every metric reads slices of one array on the grid widened by
+    # k_max * stride nodes per side: (17 + 2 * 2)**2 and (17 + 2 * 2 * 2)**2,
+    # which sample_widened fills with one call
     for spec, points in ((ZygmundSpec(k_max=2), 21**2),
                          (ZygmundSpec(k_max=2, h_z=2 * GRID8.h), 25**2)):
         calls = []
@@ -298,6 +308,12 @@ def test_approximation_report_evaluates_once_on_the_widened_grid():
             calls.append(len(x))
             return np.tanh(2 * x[..., 0] + x[..., 1])
 
-        approximation_report(F, lambda x: np.tanh(2 * x[..., 0]),
-                             MetricConfig(grid=GRID8, zygmund=spec))
+        mc = MetricConfig(grid=GRID8, zygmund=spec)
+        err = widened_error(F, lambda x: np.tanh(2 * x[..., 0]), mc)
         assert calls == [points], spec
+        assert len(widened_axis(mc)) ** 2 == points
+        approximation_report(err, mc)
+        assert calls == [points], spec
+        # an array of another grid is refused, not sliced
+        with pytest.raises(ValueError, match="widened grid"):
+            approximation_report(err[1:, 1:], mc)

@@ -59,6 +59,12 @@ def test_df_from_f_is_bitwise_identical_to_df():
     for act in ACTS:
         s = act.f(z)
         assert np.array_equal(act.df_from_f(z, s), act.df(z))
+        # the ufunc-style forms write into out, also in place, with the same bits
+        out = np.empty_like(z)
+        assert act.f(z, out=out) is out and np.array_equal(out, s)
+        assert act.df_from_f(z, s, out=out) is out and np.array_equal(out, act.df(z))
+        inplace = z.copy()
+        assert np.array_equal(act.f(inplace, out=inplace), s)
 
 
 def test_activation_by_name():

@@ -9,6 +9,7 @@ Hypothesis still caches the constants it reads from source files under
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,10 @@ from prodmlp import (
     TrainConfig,
     ZygmundSpec,
     forward,
+    grid_values,
+    h2_loss,
+    l2_loss,
+    objective,
     pack_params,
     parse_config,
     unpack_params,
@@ -46,6 +51,53 @@ def test_weighted_grad_sum_matches_finite_differences(family, m, units, batch, a
     fd = fd_gradient(lambda v: coef @ forward(unpack_params(arch, v), act, xs),
                      pack_params(p))
     assert relative_error(weighted_grad_sum(p, act, xs, coef), fd) < 1e-7
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 4),
+       units=st.integers(1, 6), batch=st.integers(2, 9),
+       act=st.sampled_from((TANH, GAUSSIAN_BUMP)), seed=st.integers(0, 2**32 - 1))
+def test_objective_with_reused_buffers_is_bitwise_fresh(family, m, units, batch, act, seed):
+    # one buffer set serves passes that shrink and grow: a batch, the 5 * batch
+    # stencil pass, an epoch's short last batch, then a batch again; m = 1 has
+    # an empty leave-one-out product
+    arch = family(units, m=m)
+    rng = np.random.default_rng(seed)
+    p = random_params(arch, rng)
+    xs = rng.uniform(-1.5, 1.5, size=(5 * batch, m))
+    ys = rng.normal(size=5 * batch)
+    calls = [(l2_loss(), xs[:rows], ys[:rows])
+             for rows in (batch, 5 * batch, batch // 2, batch)]
+    if m == 2:
+        # the h2 kind runs the batch and the 5 * batch pass in one call
+        centers, lap_y = rng.uniform(-1.0, 1.0, size=(batch, 2)), rng.normal(size=batch)
+        calls.insert(1, (h2_loss(h=1.0 / 16.0), xs[:batch], ys[:batch], centers, lap_y))
+    buffers = {}
+    for args in calls:
+        terms, grad = objective(p, act, *args, buffers=buffers)
+        fresh_terms, fresh_grad = objective(p, act, *args)
+        assert terms == fresh_terms
+        assert np.array_equal(grad, fresh_grad)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 3),
+       units=st.integers(1, 8), nx=st.integers(1, 7), ny=st.integers(1, 7),
+       act=st.sampled_from((TANH, GAUSSIAN_BUMP)), seed=st.integers(0, 2**32 - 1))
+def test_grid_values_matches_forward_on_the_meshgrid(family, m, units, nx, ny, act, seed):
+    arch = family(units, m=m)
+    rng = np.random.default_rng(seed)
+    p = random_params(arch, rng)
+    ax, ay = rng.uniform(-1.5, 1.5, size=nx), rng.uniform(-1.5, 1.5, size=ny)
+    if m != 2:
+        with pytest.raises(ValueError, match=f"m={m}"):
+            grid_values(p, act, ax, ay)
+        return
+    got = grid_values(p, act, ax, ay)
+    gx, gy = np.meshgrid(ax, ay, indexing="ij")
+    want = forward(p, act, np.stack([gx.ravel(), gy.ravel()], axis=-1)).reshape(nx, ny)
+    assert got.shape == (nx, ny)
+    assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
 
 
 # spacings as a config may write them, with their values
