@@ -11,6 +11,7 @@ import numpy as np
 from prodmlp import (
     GAUSSIAN_BUMP,
     TANH,
+    Grid2D,
     MlpArch,
     MmlpArch,
     RadialCone,
@@ -46,9 +47,11 @@ for arch in (MlpArch(n=10), MmlpArch(n_b=8)):
             theta = rng.normal(0, 0.6, size=param_count(arch))
             p = unpack_params(arch, theta)
 
-            # the objective takes data: values at x, and x as stencil
-            # centers with the target's discrete Laplacian there
-            data = (target(x), x, discrete_laplacian(target, x, spec.h))
+            # the objective takes data: values at x, and random nodes of the
+            # loss grid as stencil centers with the target's discrete Laplacian there
+            nodes = Grid2D(spec.h).node_array()
+            centers = nodes[rng.integers(0, len(nodes), size=len(x))]
+            data = (target(x), centers, discrete_laplacian(target, centers, spec.h))
             fn = lambda t: sum(objective(unpack_params(arch, t), act, spec, x, *data)[0])
 
             _, analytic = objective(p, act, spec, x, *data)

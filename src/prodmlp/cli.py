@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from .fdgrid import _atomic_text
 from .harness import (
     CheckpointError,
     ConfigError,
@@ -79,7 +80,7 @@ def _cmd_mollifier_demo(args) -> int:
     rows = convergence_report(GAUSSIAN_BUMP, eps_list, target, grid,
                               quad_points=args.quad_points)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _atomic_text(args.out) as fh:
             write_convergence_csv(rows, fh)
         print(args.out)
     else:

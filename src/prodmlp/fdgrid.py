@@ -10,6 +10,8 @@ evaluations near the boundary simply evaluate outside [-1, 1]^2 instead of
 switching to a one-sided formula.
 """
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +120,15 @@ def discrete_laplacian(fn, x: np.ndarray, h: float):
 
 
 def laplacian_field(fn, grid: Grid2D) -> ScalarField:
-    """Discrete Laplacian of fn on every node, spacing grid.h."""
+    """Discrete Laplacian of fn on every node, spacing grid.h, each value discrete_laplacian's
+    coeffs @ vals; fn is evaluated once per node of the grid widened by one, row by row."""
     n = grid.nodes_per_axis
-    vals = discrete_laplacian(fn, grid.node_array(), grid.h).reshape(n, n)
-    return ScalarField(grid=grid, values=vals)
+    u = -1.0 + grid.h * np.arange(-1, n + 1)
+    v = np.array([fn(np.column_stack([np.full_like(u, a), u])) for a in u], dtype=float)
+    coeffs = laplacian_stencil(grid.h)[1]
+    lap = [coeffs @ np.stack([v[i, 1:-1], v[i + 1, 1:-1], v[i - 1, 1:-1], v[i, 2:], v[i, :-2]])
+           for i in range(1, n + 1)]
+    return ScalarField(grid=grid, values=np.array(lap))
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +138,24 @@ def laplacian_field(fn, grid: Grid2D) -> ScalarField:
 # double, so writing with repr makes the round trip exact.
 
 
+@contextmanager
+def _atomic_text(path):
+    """A stream to a temp file that replaces path only if the block completes."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_field_csv(field: ScalarField, path) -> None:
     """Write `x,y,value` rows in node order (x varies slowest)."""
     ax = field.grid.axis()
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         fh.write("x,y,value\n")
         for i, x in enumerate(ax):
             for j, y in enumerate(ax):

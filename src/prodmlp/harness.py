@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fdgrid import Grid2D, write_field_csv
+from .fdgrid import Grid2D, _atomic_text, write_field_csv
 from .metrics import (
     MetricConfig,
     ZygmundSpec,
@@ -491,7 +491,7 @@ def _final_summary(params, act: Activation, target: TargetFunction, mc: MetricCo
 
 
 def _write_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 

@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ._seeds import ROLE_INIT, stream
+from .fdgrid import laplacian_stencil
 
 __all__ = [
     "Activation",
@@ -300,6 +301,50 @@ def _weighted_grad_cached(p: NetworkParams, act: Activation, xb: np.ndarray,
     return np.concatenate([d_w.ravel(), d_b.ravel(), coef @ h, [coef.sum()]])
 
 
+def _values_vjp(p: NetworkParams, act: Activation, pts: np.ndarray, coeffs, buffers=None):
+    """v = sum_s coeffs[s] F(pts[s]) over stacked point sets, and coef -> coef @ dv/dtheta."""
+    out, cache = _forward_cache(p, act, pts, buffers)
+    return coeffs @ out.reshape(len(coeffs), -1), lambda coef: _weighted_grad_cached(
+        p, act, pts, np.multiply.outer(coeffs, coef).reshape(-1), cache, buffers)
+
+
+def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=None):
+    """The 5-point Laplacian of F at the Grid2D(h) nodes with index pairs nodes, and
+    its vjp, as _values_vjp.  Product blocks separate: with per-axis tables S of sigma
+    on the axis widened by one node, lap_h F is the GEMM [D_x | V_x] alpha [V_y | D_y]^T
+    of the factors' values V and second differences D at the nodes, and the vjp spreads
+    its weights by the stencil over the widened grid, where F - c = (S_x alpha) S_y^T."""
+    offsets, coeffs = laplacian_stencil(h)
+    pts = nodes[None] + np.rint(offsets / h).astype(np.intp)[:, None]    # (5, k, 2)
+    if isinstance(p, MlpParams):
+        return _values_vjp(p, act, (-1.0 + h * pts).reshape(-1, 2), coeffs, buffers)
+    n, size = len(p.alpha), round(2.0 / h) + 3
+    u = -1.0 + h * np.arange(-1, size - 1)
+    _, (z, s, _) = _forward_cache(p, act, np.broadcast_to(u[:, None], (size, 2)), buffers)
+    d = np.multiply(s[:, 1:-1], -2.0, out=_work(buffers, "d", (2, size - 2, n)))
+    d += s[:, 2:]
+    d += s[:, :-2]                                              # h^2 D
+    dv, vd = _work(buffers, "dv", (2, size - 2, 2 * n))
+    dv[:, :n], dv[:, n:], vd[:, :n], vd[:, n:] = d[0], s[0, 1:-1], s[1, 1:-1], d[1]
+    dv *= np.tile(p.alpha, 2)
+    lap = np.matmul(dv, vd.T, out=_work(buffers, "lap", (size - 2, size - 2)))
+
+    def vjp(coef):
+        w = _work(buffers, "W", (size, size))
+        w.fill(0.0)
+        np.add.at(w.reshape(-1), (pts[..., 0] + 1) * size + pts[..., 1] + 1,
+                  np.multiply.outer(coeffs, coef))
+        adj = _work(buffers, "adj", s.shape)
+        np.matmul(w, s[1], out=adj[0])
+        np.matmul(w.T, s[0], out=adj[1])
+        d_alpha = np.einsum("rj,rj->j", s[0], adj[0])
+        adj *= act.df_from_f(z, s, out=z)                       # z is not read again
+        adj *= p.alpha
+        return np.concatenate([(u @ adj).T.ravel(), adj.sum(axis=1).T.ravel(), d_alpha, [0.0]])
+
+    return lap[nodes[:, 0], nodes[:, 1]] / (h * h), vjp
+
+
 def grid_values(p: NetworkParams, act: Activation, ax, ay) -> np.ndarray:
     """F at the tensor-grid nodes (ax[i], ay[j]) of R^2, a (len(ax), len(ay)) array.
 
@@ -337,8 +382,7 @@ def weighted_grad_sum(p: NetworkParams, act: Activation, x: np.ndarray, coef: np
     coef = np.asarray(coef, dtype=float)
     if coef.shape != (xb.shape[0],):
         raise ValueError(f"coef must have shape ({xb.shape[0]},), got {coef.shape}")
-    _, cache = _forward_cache(p, act, xb)
-    return _weighted_grad_cached(p, act, xb, coef, cache)
+    return _values_vjp(p, act, xb, np.ones(1))[1](coef)
 
 
 def grad_params(p: NetworkParams, act: Activation, x: np.ndarray) -> np.ndarray:

@@ -8,19 +8,19 @@ Two losses are supported:
 
 where lap_h is the 5-point discrete Laplacian at spacing h.  `objective` is
 the one place that composes them: it takes data only (the values y at x, and
-for the penalty the stencil centers with the target's lap_h f there) and
-returns the terms (l2, laplacian) -- the second present exactly for the "h2"
-kind -- together with the exact analytic gradient of their sum.  Each term's
-gradient is one weighted sum of network parameter gradients: at x for the
-first, at the five stencil points of every center for the second.
+for the penalty stencil centers, nodes of the loss grid, with the target's
+lap_h f there) and returns the terms (l2, laplacian) -- the second present
+exactly for the "h2" kind -- with the exact gradient of their sum.  Product
+blocks take the Laplacian term from per-axis tables on the loss grid; ridge
+units run the network at the five stencil points of every center.
 
 The training loop pairs the two terms with different data streams: the least
 squares term consumes shuffled minibatches of a fixed uniform sample pool
-(full passes without replacement), while the Laplacian term draws minibatches
-of stencil centers uniformly from the grid nodes at the loss spacing.  All
-streams are keyed by (seed, role), so two architectures trained with the same
-seed consume identical pools and batch orders.  Steps reuse per-run work
-arrays; checkpoints read network.grid_values on the widened metric grid.
+(full passes without replacement), while the Laplacian term draws centers
+uniformly from the loss grid's nodes and reads lap_h f from one laplacian_field
+per run.  Streams are keyed by (seed, role), so two architectures trained with
+the same seed consume identical pools and batch orders.  Steps reuse per-run
+work arrays; checkpoints read network.grid_values on the widened metric grid.
 """
 
 import time
@@ -29,14 +29,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._seeds import ROLE_BATCH, ROLE_GRID_BATCH, stream
-from .fdgrid import Grid2D, discrete_laplacian, laplacian_stencil
+from .fdgrid import Grid2D, _atomic_text, laplacian_field
 from .metrics import MetricConfig, approximation_report, sample_widened, widened_axis
 from .network import (
     Arch,
     Activation,
     NetworkParams,
-    _forward_cache,
-    _weighted_grad_cached,
+    _laplacian_vjp,
+    _values_vjp,
     grid_values,
     init_params,
     pack_params,
@@ -68,9 +68,9 @@ class LossSpec:
     """Which loss to train with.
 
     kind is "l2" or "h2"; lam and h only matter for "h2".  h must be a Grid2D
-    spacing, because the stencil centers are that grid's nodes.  lam = 0 is
-    allowed here (it reduces the H^2-type loss to least squares exactly);
-    experiment configs require lam > 0 for "h2" runs.
+    spacing: the stencil centers are that grid's nodes, and train takes the
+    target's lap_h f on all of them once per run.  lam = 0 reduces the H^2-type
+    loss to least squares exactly; experiment configs require lam > 0 for "h2".
     """
 
     kind: str
@@ -101,19 +101,11 @@ def h2_loss(lam: float = LossSpec.lam, h: float = LossSpec.h) -> LossSpec:
 # ---------------------------------------------------------------------------
 
 
-def _mismatch(p, act, pts, coeffs, data, weight, buffers):
-    """One loss term, weight * mean |r|^2, and its exact gradient.
-
-    pts stacks len(coeffs) point sets of len(data) points each, and
-    r = sum_s coeffs[s] * F(pts[s]) - data.  r is linear in the network's
-    values, so the gradient is one coefficient-weighted sum of network
-    gradients at the stacked points.
-    """
-    out, cache = _forward_cache(p, act, pts, buffers)
-    r = coeffs @ out.reshape(len(coeffs), -1) - data
-    coef = (2.0 * weight / r.size) * (coeffs[:, None] * r[None, :])
-    grad = _weighted_grad_cached(p, act, pts, coef.reshape(-1), cache, buffers)
-    return weight * float(np.mean(r * r)), grad
+def _mismatch(v, vjp, data, weight):
+    """One loss term, weight * mean |r|^2 with r = v - data, and its exact gradient,
+    one vector-Jacobian product, since r is linear in the network's values v."""
+    r = v - data
+    return weight * float(np.mean(r * r)), vjp((2.0 * weight / r.size) * r)
 
 
 def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
@@ -123,21 +115,22 @@ def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
 
     The least-squares term compares F(x) with the values y (a one-point
     stencil).  For the "h2" kind a second term compares the 5-point
-    Laplacian of F at the stencil centers with lap_y, the target's discrete
-    Laplacian there, weighted by spec.lam; lam = 0 makes it exactly 0.0 and
-    leaves the gradient exactly the L2 one.
+    Laplacian of F at the stencil centers, nodes of Grid2D(spec.h), with lap_y,
+    the target's discrete Laplacian there, weighted by spec.lam; lam = 0 makes
+    it exactly 0.0 and leaves the gradient exactly the L2 one.
     buffers, a dict that train keeps for a run, holds the network's work
     arrays across calls; with None they are fresh.  Results are bitwise equal.
     """
-    l2, grad = _mismatch(p, act, x, np.ones(1), y, 1.0, buffers)
+    l2, grad = _mismatch(*_values_vjp(p, act, x, np.ones(1), buffers), y, 1.0)
     if spec.kind == "l2":
         return (l2,), grad
     if centers is None or lap_y is None:
         raise ValueError("the h2 objective needs stencil centers and lap_y")
-    offsets, coeffs = laplacian_stencil(spec.h)
-    pts = (centers[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
-    lap, lap_grad = _mismatch(p, act, pts, coeffs, lap_y, spec.lam, buffers)
-    grad += lap_grad
+    q = (np.asarray(centers, dtype=float) + 1.0) / spec.h
+    if q.ndim != 2 or q.shape[1] != 2 or np.any((q != np.round(q)) | (q < 0) | (q > 2 / spec.h)):
+        raise ValueError(f"centers must be a (k, 2) array of nodes of Grid2D(h={spec.h})")
+    lap, g = _mismatch(*_laplacian_vjp(p, act, spec.h, q.astype(np.intp), buffers), lap_y, spec.lam)
+    grad += g
     return (l2, lap), grad
 
 
@@ -304,6 +297,7 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     if spec.kind == "h2":
         loss_grid = Grid2D(h=spec.h)
         grid_nodes = loss_grid.node_array()
+        grid_lap = laplacian_field(target, loss_grid).values.ravel()
         grid_rng = stream(cfg.seed, ROLE_GRID_BATCH)
 
     trace = TrainingTrace()
@@ -329,8 +323,8 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     for it in range(1, cfg.iterations + 1):
         idx = next(batches)
         if spec.kind == "h2":
-            centers = grid_nodes[grid_rng.integers(0, len(grid_nodes), size=cfg.batch_size)]
-            lap_y = discrete_laplacian(target, centers, spec.h)
+            k = grid_rng.integers(0, len(grid_nodes), size=cfg.batch_size)
+            centers, lap_y = grid_nodes[k], grid_lap[k]
         terms, g = objective(params, act, spec, pool_x[idx], pool_y[idx], centers, lap_y, buffers)
         loss_val = sum(terms)
         if not np.isfinite(loss_val):
@@ -354,7 +348,7 @@ TRACE_HEADER = "iter,l2_error,h2_error,zygmund_error,seconds"
 
 
 def write_trace_csv(trace: TrainingTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         fh.write(TRACE_HEADER + "\n")
         for r in trace.rows:
             fh.write(

@@ -96,10 +96,13 @@ def test_criterion_2_analytic_gradients_match_finite_differences():
                     pack_params(p))
                 worst = max(worst, relative_error(grad_params(p, act, x), fd))
             for spec in specs:
+                nodes = Grid2D(spec.h).node_array()
                 for _ in range(instances):
                     p = random_params(arch, rng, scale=0.8)
                     x = rng.uniform(-1.0, 1.0, size=(6, 2))
-                    data = (target(x), x, discrete_laplacian(target, x, spec.h))
+                    # the stencil centers are nodes of the loss grid
+                    centers = nodes[rng.integers(0, len(nodes), size=6)]
+                    data = (target(x), centers, discrete_laplacian(target, centers, spec.h))
                     fd = fd_gradient(
                         lambda th: sum(objective(unpack_params(arch, th), act, spec,
                                                  x, *data)[0]),

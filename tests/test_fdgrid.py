@@ -10,6 +10,7 @@ from prodmlp import (
     laplacian_field,
     read_field_csv,
     sample_field,
+    target_by_name,
     write_field_csv,
 )
 from prodmlp.fdgrid import laplacian_stencil
@@ -131,13 +132,23 @@ def test_laplacian_uses_points_outside_the_square():
 
 
 def test_laplacian_field_matches_pointwise():
-    g = Grid2D(h=0.25)
-    fn = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
-    lf = laplacian_field(fn, g)
-    n = g.nodes_per_axis
-    assert lf.values.shape == (n, n)
-    direct = discrete_laplacian(fn, g.node_array(), g.h).reshape(n, n)
-    assert np.array_equal(lf.values, direct)
+    # laplacian_field samples fn once on the widened nodes; training reads its
+    # values by node in place of discrete_laplacian at the batch's centers, so
+    # they must agree bitwise, on the whole grid and on node batches
+    cases = [(lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1]), 0.25)]
+    cases += [(target_by_name(name), h) for name in ("cone", "circle") for h in (0.25, 1 / 128)]
+    rng = np.random.default_rng(0)
+    for fn, h in cases:
+        g = Grid2D(h=h)
+        lf = laplacian_field(fn, g)
+        n = g.nodes_per_axis
+        assert lf.values.shape == (n, n)
+        direct = discrete_laplacian(fn, g.node_array(), g.h).reshape(n, n)
+        assert np.array_equal(lf.values, direct)
+        for size in (1, 7, 512, 2048):
+            k = rng.integers(0, n * n, size=size)
+            batch = discrete_laplacian(fn, g.node_array()[k], g.h)
+            assert np.array_equal(lf.values.ravel()[k], batch)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ import pytest
 from prodmlp import (
     CheckpointError,
     ConfigError,
+    Grid2D,
     MetricConfig,
     MlpArch,
     MmlpArch,
     MollifiedCircle,
     RadialCone,
+    ScalarField,
     eval_checkpoint,
     export_field,
     init_params,
@@ -26,12 +28,14 @@ from prodmlp import (
     read_field_csv,
     read_trace_csv,
     run_experiment,
+    write_field_csv,
 )
 from prodmlp.cli import main
 from prodmlp.harness import (
     CHECKPOINT_FORMAT,
     OUTPUT_ROOT_ENV,
     _final_summary,
+    _write_json,
     config_digest,
     desk_config,
     resolve_output_dir,
@@ -562,6 +566,23 @@ def test_cli_mollifier_demo_to_file(tmp_path, capsys):
                  "--quad-points", "17", "--out", str(dest)]) == 0
     capsys.readouterr()
     assert dest.read_text().startswith("eps,sup_error,l2_error\n")
+
+
+def test_interrupted_artifact_write_keeps_the_old_file(tmp_path):
+    # json.dump and the field CSV writer stream, so each has written part of
+    # its output when the unserializable value raises
+    summary, field = tmp_path / "experiment_summary.json", tmp_path / "field.csv"
+    _write_json({"config_digest": "old"}, summary)
+    write_field_csv(ScalarField(Grid2D(h=1.0), np.ones((3, 3))), field)
+    before = summary.read_bytes(), field.read_bytes()
+    with pytest.raises(TypeError):
+        _write_json({"config_digest": "new", "runs": [1.0] * 1000 + [object()]}, summary)
+    bad = ScalarField(Grid2D(h=1.0), np.zeros((3, 3)))
+    bad.values = np.array([[0.0] * 3, [0.0] * 3, [0.0, 0.0, None]], dtype=object)
+    with pytest.raises(TypeError):
+        write_field_csv(bad, field)
+    assert (summary.read_bytes(), field.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment_summary.json", "field.csv"]
 
 
 def test_cli_mollifier_demo_bad_eps(capsys):

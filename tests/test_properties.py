@@ -17,6 +17,7 @@ from helpers import fd_gradient, random_params, relative_error
 from prodmlp import (
     GAUSSIAN_BUMP,
     TANH,
+    Activation,
     Grid2D,
     LossSpec,
     MetricConfig,
@@ -36,6 +37,7 @@ from prodmlp import (
     unpack_params,
     weighted_grad_sum,
 )
+from prodmlp.fdgrid import laplacian_stencil
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -51,6 +53,15 @@ def test_weighted_grad_sum_matches_finite_differences(family, m, units, batch, a
     fd = fd_gradient(lambda v: coef @ forward(unpack_params(arch, v), act, xs),
                      pack_params(p))
     assert relative_error(weighted_grad_sum(p, act, xs, coef), fd) < 1e-7
+
+
+def stencil_centers(rng, h, batch):
+    """batch random nodes of Grid2D(h), then its four corners and a repeat of
+    the first node."""
+    size = round(2.0 / h)
+    idx = np.concatenate([rng.integers(0, size + 1, size=(batch, 2)),
+                          [[0, 0], [0, size], [size, 0], [size, size]]])
+    return -1.0 + h * np.concatenate([idx, idx[:1]])
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -69,8 +80,9 @@ def test_objective_with_reused_buffers_is_bitwise_fresh(family, m, units, batch,
     calls = [(l2_loss(), xs[:rows], ys[:rows])
              for rows in (batch, 5 * batch, batch // 2, batch)]
     if m == 2:
-        # the h2 kind runs the batch and the 5 * batch pass in one call
-        centers, lap_y = rng.uniform(-1.0, 1.0, size=(batch, 2)), rng.normal(size=batch)
+        # the h2 kind runs the batch and the Laplacian pass in one call: the
+        # 5 * (batch + 5) stencil points, or the per-axis tables of product blocks
+        centers, lap_y = stencil_centers(rng, 1.0 / 16.0, batch), rng.normal(size=batch + 5)
         calls.insert(1, (h2_loss(h=1.0 / 16.0), xs[:batch], ys[:batch], centers, lap_y))
     buffers = {}
     for args in calls:
@@ -78,6 +90,74 @@ def test_objective_with_reused_buffers_is_bitwise_fresh(family, m, units, batch,
         fresh_terms, fresh_grad = objective(p, act, *args)
         assert terms == fresh_terms
         assert np.array_equal(grad, fresh_grad)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from((MlpArch, MmlpArch)), units=st.integers(1, 40),
+       batch=st.integers(1, 40), k=st.integers(1, 6),
+       act=st.sampled_from((TANH, GAUSSIAN_BUMP)), seed=st.integers(0, 2**32 - 1))
+def test_laplacian_term_matches_the_stacked_stencil(family, units, batch, k, act, seed):
+    # the oracle: the public forward and weighted_grad_sum at the five stencil
+    # points of every center, h = 1/4 ... 1/128
+    h = 0.5 ** (k + 1)
+    arch = family(units)
+    rng = np.random.default_rng(seed)
+    p = random_params(arch, rng)
+    x, y = rng.uniform(-1.0, 1.0, size=(3, 2)), rng.normal(size=3)
+    centers = stencil_centers(rng, h, batch)
+    lap_y = rng.normal(size=len(centers))
+    spec = h2_loss(lam=0.3, h=h)
+    (_, lap), grad = objective(p, act, spec, x, y, centers, lap_y)
+    _, l2_grad = objective(p, act, l2_loss(), x, y)
+
+    offsets, coeffs = laplacian_stencil(h)
+    pts = (centers[None] + offsets[:, None]).reshape(-1, 2)
+    r = coeffs @ forward(p, act, pts).reshape(5, -1) - lap_y
+    want = spec.lam * np.mean(r * r)
+    want_grad = weighted_grad_sum(p, act, pts,
+                                  np.multiply.outer(coeffs, 2.0 * spec.lam * r / len(r)).ravel())
+    assert abs(lap - want) <= 1e-11 * want
+    assert relative_error(grad - l2_grad, want_grad) < 1e-9
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from((MlpArch, MmlpArch)), units=st.integers(1, 6),
+       batch=st.integers(1, 6), k=st.integers(1, 3),
+       act=st.sampled_from((TANH, GAUSSIAN_BUMP)), seed=st.integers(0, 2**32 - 1))
+def test_h2_objective_matches_finite_differences(family, units, batch, k, act, seed):
+    h = 0.5 ** (k + 1)
+    arch = family(units)
+    rng = np.random.default_rng(seed)
+    p = random_params(arch, rng, scale=0.8)
+    x, y = rng.uniform(-1.0, 1.0, size=(3, 2)), rng.normal(size=3)
+    centers = stencil_centers(rng, h, batch)
+    data = (y, centers, rng.normal(size=len(centers)))
+    spec = h2_loss(lam=0.05, h=h)
+    fd = fd_gradient(lambda v: sum(objective(unpack_params(arch, v), act, spec, x, *data)[0]),
+                     pack_params(p))
+    assert relative_error(objective(p, act, spec, x, *data)[1], fd) < 1e-6
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(units=st.integers(1, 40), batch=st.integers(1, 600), k=st.integers(1, 6))
+def test_product_block_h2_objective_evaluates_sigma_on_the_tables(units, batch, k):
+    # sigma on the batch's two factor planes and on two per-axis tables of
+    # M + 3 nodes: a fallback to the stacked 5-point pass would read 10 batch
+    h = 0.5 ** (k + 1)
+    rng = np.random.default_rng(batch)
+    evaluated = []
+
+    def f(z, out=None):
+        evaluated.append(z.size)
+        return GAUSSIAN_BUMP.f(z, out=out)
+
+    act = Activation("counted", f, GAUSSIAN_BUMP.df, GAUSSIAN_BUMP.df_from_f)
+    p = random_params(MmlpArch(units), rng)
+    x = rng.uniform(-1.0, 1.0, size=(batch, 2))
+    centers = -1.0 + h * rng.integers(0, round(2.0 / h) + 1, size=(batch, 2))
+    objective(p, act, h2_loss(h=h), x, rng.normal(size=batch), centers,
+              rng.normal(size=batch), buffers={})
+    assert sum(evaluated) == 2 * batch * units + 2 * (round(2.0 / h) + 3) * units
 
 
 @settings(derandomize=True, database=None, deadline=None)

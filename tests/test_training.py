@@ -64,10 +64,13 @@ def test_loss_spec_validation():
     LossSpec(kind="h2", lam=0.0)
 
 
-def _data(target, x, spec):
-    """The objective's data for a target: values at x, and x as stencil
-    centers with the target's discrete Laplacian there."""
-    return target(x), x, discrete_laplacian(target, x, spec.h)
+def _data(target, x, spec, rng):
+    """The objective's data for a target: values at x, and len(x) random nodes
+    of the loss grid as stencil centers with the target's discrete Laplacian
+    there."""
+    nodes = Grid2D(spec.h).node_array()
+    centers = nodes[rng.integers(0, len(nodes), size=len(x))]
+    return target(x), centers, discrete_laplacian(target, centers, spec.h)
 
 
 def test_loss_l2_matches_loop_oracle():
@@ -87,14 +90,15 @@ def test_loss_l2_matches_loop_oracle():
 
 def test_loss_h2_reduces_to_l2_at_lambda_zero():
     rng = np.random.default_rng(1)
-    p = random_params(MlpArch(6), rng)
-    x = rng.uniform(-1, 1, size=(9, 2))
-    spec = LossSpec(kind="h2", lam=0.0)
-    terms, g = objective(p, TANH, spec, x, *_data(CONE, x, spec))
-    want, want_g = objective(p, TANH, l2_loss(), x, CONE(x))
-    assert terms == (want[0], 0.0)
-    assert sum(terms) == sum(want)
-    assert np.array_equal(g, want_g)
+    for arch in (MlpArch(6), MmlpArch(5)):
+        p = random_params(arch, rng)
+        x = rng.uniform(-1, 1, size=(9, 2))
+        spec = LossSpec(kind="h2", lam=0.0)
+        terms, g = objective(p, TANH, spec, x, *_data(CONE, x, spec, rng))
+        want, want_g = objective(p, TANH, l2_loss(), x, CONE(x))
+        assert terms == (want[0], 0.0)
+        assert sum(terms) == sum(want)
+        assert np.array_equal(g, want_g)
 
 
 def test_loss_h2_matches_loop_oracle():
@@ -104,6 +108,7 @@ def test_loss_h2_matches_loop_oracle():
     x = rng.uniform(-0.9, 0.9, size=(7, 2))
     spec = LossSpec(kind="h2", lam=0.03, h=1.0 / 16.0)
     F = predictor(p, GAUSSIAN_BUMP)
+    y, centers, lap_y = _data(CONE, x, spec, rng)
 
     def lap(fn, pt):
         e1 = np.array([spec.h, 0.0])
@@ -112,19 +117,33 @@ def test_loss_h2_matches_loop_oracle():
                 - 4.0 * fn(pt)) / spec.h**2
 
     sq = np.mean([(F(pt) - float(CONE(pt))) ** 2 for pt in x])
-    pen = np.mean([(lap(F, pt) - lap(lambda q: float(CONE(q)), pt)) ** 2 for pt in x])
+    pen = np.mean([(lap(F, pt) - lap(lambda q: float(CONE(q)), pt)) ** 2 for pt in centers])
     want = sq + spec.lam * pen
-    terms, _ = objective(p, GAUSSIAN_BUMP, spec, x, *_data(CONE, x, spec))
+    terms, _ = objective(p, GAUSSIAN_BUMP, spec, x, y, centers, lap_y)
     assert abs(sum(terms) - want) < 1e-11
     with pytest.raises(ValueError, match="centers"):
         objective(p, GAUSSIAN_BUMP, spec, x, CONE(x))
+
+
+@pytest.mark.parametrize("arch", [MlpArch(3), MmlpArch(3)])
+def test_h2_centers_must_be_loss_grid_nodes(arch):
+    p = random_params(arch, np.random.default_rng(5))
+    spec = h2_loss(h=1.0 / 8.0)
+    x = np.zeros((2, 2))
+    node = np.array([[-1.0, 0.25]])
+    objective(p, TANH, spec, x, CONE(x), node, np.zeros(1))
+    off_grid = (node + [[spec.h / 3, 0.0]], node - [[spec.h, 0.0]], node + [[2.25, 0.0]],
+                np.array([[np.nan, 0.0]]), np.zeros((1, 3)), np.zeros(2))
+    for centers in off_grid:
+        with pytest.raises(ValueError, match="centers"):
+            objective(p, TANH, spec, x, CONE(x), centers, np.zeros(len(centers)))
 
 
 def test_loss_penalty_scales_linearly_in_lambda():
     rng = np.random.default_rng(3)
     p = random_params(MlpArch(5), rng)
     x = rng.uniform(-1, 1, size=(8, 2))
-    data = _data(CIRCLE, x, LossSpec(kind="h2"))
+    data = _data(CIRCLE, x, LossSpec(kind="h2"), rng)
     base, lo, hi = (sum(objective(p, TANH, LossSpec(kind="h2", lam=lam), x, *data)[0])
                     for lam in (0.0, 0.01, 0.03))
     assert abs((hi - base) - 3.0 * (lo - base)) < 1e-12
@@ -140,7 +159,7 @@ def test_loss_grad_matches_finite_differences():
                 for _ in range(10):
                     p = random_params(arch, rng, scale=0.8)
                     x = rng.uniform(-1, 1, size=(6, 2))
-                    data = _data(CONE, x, spec)
+                    data = _data(CONE, x, spec, rng)
                     _, g = objective(p, act, spec, x, *data)
                     # one value function for every kind: the sum of the terms
                     fd = fd_gradient(
