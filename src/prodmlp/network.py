@@ -251,61 +251,84 @@ def _work(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
     return buffers[key][..., : shape[-2], :]
 
 
+def _planes(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None):
+    """sigma's argument z and its value s on a batch, and the [x | 1] stack xz
+    whose product with the [w; b] stack is z: one GEMM (batch, m + 1) @ (m + 1, n)
+    for ridge units, one batched GEMM (m, batch, 2) @ (m, 2, n_b) of contiguous
+    per-coordinate planes for product blocks."""
+    rows, m = xb.shape
+    if isinstance(p, MlpParams):
+        xz = _work(buffers, "x1", (rows, m + 1))
+        xz[:, :m] = xb
+        wb = _work(buffers, "wb", (m + 1, len(p.alpha)))
+        wb[:m], wb[m] = p.w.T, p.b
+    elif isinstance(p, MmlpParams):
+        xz = _work(buffers, "x1", (m, rows, 2))
+        xz[..., 0] = xb.T
+        wb = _work(buffers, "wb", (m, 2, len(p.alpha)))
+        wb[:, 0], wb[:, 1] = p.w.T, p.b.T
+    else:
+        raise TypeError(f"not a parameter container: {p!r}")
+    xz[..., -1] = 1.0
+    z = np.matmul(xz, wb, out=_work(buffers, "z", (*xz.shape[:-1], wb.shape[-1])))
+    return xz, z, act.f(z, out=_work(buffers, "s", z.shape))
+
+
+def _flat_grad(p: NetworkParams, g: np.ndarray, d_alpha, d_c) -> np.ndarray:
+    """The documented flat layout of a gradient g with respect to the [w; b] stack."""
+    d_w, d_b = (g[:-1].T, g[-1]) if isinstance(p, MlpParams) else (g[:, 0].T, g[:, 1].T)
+    return np.concatenate([d_w.ravel(), d_b.ravel(), d_alpha, [d_c]])
+
+
 def _forward_cache(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None):
     """Batch forward pass returning (values, cache of intermediates).
 
-    The cache (z, s, h) holds the pre-activations, the activations and the
-    (batch, units) hidden features that alpha weighs: h = s for ridge units,
-    the block products for product blocks, whose z and s are contiguous
-    per-coordinate planes (m, batch, n_b).  _weighted_grad_cached reuses it,
-    so a step evaluates each transcendental once, in a buffer set's arrays if given.
+    The cache (xz, z, s, h) holds _planes' [x | 1] stack, pre-activations and
+    activations, and the (batch, units) hidden features that alpha weighs: h = s
+    for ridge units, the block products for product blocks.  _weighted_grad_cached
+    reuses it, so a step evaluates each transcendental once, in a buffer set's
+    arrays if given.
     """
+    xz, z, s = _planes(p, act, xb, buffers)
     if isinstance(p, MlpParams):
-        z = np.matmul(xb, p.w.T, out=_work(buffers, "z", (len(xb), p.w.shape[0])))
-        z += p.b
-        s = h = act.f(z, out=_work(buffers, "s", z.shape))
-    elif isinstance(p, MmlpParams):
-        z = _work(buffers, "z", (p.w.shape[1], len(xb), p.w.shape[0]))
-        for i, z_i in enumerate(z):
-            np.add(np.multiply.outer(xb[:, i], p.w[:, i], out=z_i), p.b[:, i], out=z_i)
-        s = act.f(z, out=_work(buffers, "s", z.shape))
+        h = s
+    else:
         h = s[0] if len(s) == 1 else reduce(
             partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
-    else:
-        raise TypeError(f"not a parameter container: {p!r}")
-    return h @ p.alpha + p.c, (z, s, h)
+    return h @ p.alpha + p.c, (xz, z, s, h)
 
 
-def _weighted_grad_cached(p: NetworkParams, act: Activation, xb: np.ndarray,
-                          coef: np.ndarray, cache, buffers=None) -> np.ndarray:
-    z, s, h = cache
+def _weighted_grad_cached(p: NetworkParams, act: Activation, coef: np.ndarray,
+                          cache, buffers=None) -> np.ndarray:
+    """coef @ dF/dtheta over the cached batch.  dF/d[w; b] is [x | 1]^T sigma'(z)
+    alpha per sample, so one GEMM of C = coef [x | 1] against sigma'(z), times a
+    coordinate's leave-one-out product for product blocks, reduces the batch, and
+    alpha scales the small (., units) result."""
+    xz, z, s, h = cache
+    c = np.multiply(xz, coef[:, None], out=_work(buffers, "C", xz.shape))
     if isinstance(p, MlpParams):
-        t = act.df_from_f(z, s, out=_work(buffers, "t", z.shape))
-        t *= p.alpha                                 # dF/db per sample, (batch, n)
-        d_b = coef @ t
-        t *= coef[:, None]
-        d_w = t.T @ xb                               # (n, m)
+        g = c.T @ act.df_from_f(z, s, out=_work(buffers, "t", z.shape))
     else:
-        # coordinate i's factor times the product of the other planes; a plain
-        # product with no division, so factors that are exactly zero stay exact
-        m = p.w.shape[1]
-        d_b, d_w = np.empty_like(p.b), np.empty_like(p.w)
+        # coordinate i's factor derivative times the product of the other planes;
+        # a plain product with no division, so factors that are exactly zero stay exact
+        m = len(z)
+        g = np.empty((m, 2, len(p.alpha)))
         t = _work(buffers, "t", h.shape)
         loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
         for i in range(m):
-            t = np.multiply(act.df_from_f(z[i], s[i], out=t), p.alpha, out=t)  # dF/db_ij
+            act.df_from_f(z[i], s[i], out=t)
             if m > 1:
                 t *= reduce(loo, [s[j] for j in range(m) if j != i])
-            d_b[:, i] = np.einsum("k,kj->j", coef, t)
-            d_w[:, i] = np.einsum("k,kj,k->j", coef, t, xb[:, i])
-    return np.concatenate([d_w.ravel(), d_b.ravel(), coef @ h, [coef.sum()]])
+            np.matmul(c[i].T, t, out=g[i])
+    g *= p.alpha
+    return _flat_grad(p, g, coef @ h, coef.sum())
 
 
 def _values_vjp(p: NetworkParams, act: Activation, pts: np.ndarray, coeffs, buffers=None):
     """v = sum_s coeffs[s] F(pts[s]) over stacked point sets, and coef -> coef @ dv/dtheta."""
     out, cache = _forward_cache(p, act, pts, buffers)
     return coeffs @ out.reshape(len(coeffs), -1), lambda coef: _weighted_grad_cached(
-        p, act, pts, np.multiply.outer(coeffs, coef).reshape(-1), cache, buffers)
+        p, act, np.multiply.outer(coeffs, coef).reshape(-1), cache, buffers)
 
 
 def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=None):
@@ -320,7 +343,7 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
         return _values_vjp(p, act, (-1.0 + h * pts).reshape(-1, 2), coeffs, buffers)
     n, size = len(p.alpha), round(2.0 / h) + 3
     u = -1.0 + h * np.arange(-1, size - 1)
-    _, (z, s, _) = _forward_cache(p, act, np.broadcast_to(u[:, None], (size, 2)), buffers)
+    xz, z, s = _planes(p, act, np.broadcast_to(u[:, None], (size, 2)), buffers)
     d = np.multiply(s[:, 1:-1], -2.0, out=_work(buffers, "d", (2, size - 2, n)))
     d += s[:, 2:]
     d += s[:, :-2]                                              # h^2 D
@@ -339,8 +362,9 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
         np.matmul(w.T, s[0], out=adj[1])
         d_alpha = np.einsum("rj,rj->j", s[0], adj[0])
         adj *= act.df_from_f(z, s, out=z)                       # z is not read again
-        adj *= p.alpha
-        return np.concatenate([(u @ adj).T.ravel(), adj.sum(axis=1).T.ravel(), d_alpha, [0.0]])
+        g = np.matmul(xz.transpose(0, 2, 1), adj)               # d/d[w_i; b_i] over the tables
+        g *= p.alpha
+        return _flat_grad(p, g, d_alpha, 0.0)
 
     return lap[nodes[:, 0], nodes[:, 1]] / (h * h), vjp
 

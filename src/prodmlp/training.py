@@ -291,6 +291,7 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     """
     pool_x, pool_y = sample_uniform(target, cfg.samples, cfg.seed)
     params = init_params(arch, cfg.seed)
+    theta = pack_params(params)
     state = AdamState.fresh(param_count(arch), lr=cfg.learning_rate,
                             beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.epsilon)
     batches = _epoch_batches(cfg.samples, cfg.batch_size, cfg.seed)
@@ -331,7 +332,7 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
             trace.batch_losses = losses[: it - 1]
             raise TrainingDiverged(it, loss_val, trace=trace)
         losses[it - 1] = loss_val
-        state, theta = adam_step(state, pack_params(params), g)
+        state, theta = adam_step(state, theta, g)
         params = unpack_params(arch, theta)
         if it % cfg.checkpoint_interval == 0 or it == cfg.iterations:
             checkpoint(it)

@@ -7,6 +7,7 @@ Hypothesis still caches the constants it reads from source files under
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from prodmlp import (
     weighted_grad_sum,
 )
 from prodmlp.fdgrid import laplacian_stencil
+from prodmlp.network import _forward_cache
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -158,6 +160,53 @@ def test_product_block_h2_objective_evaluates_sigma_on_the_tables(units, batch, 
     objective(p, act, h2_loss(h=h), x, rng.normal(size=batch), centers,
               rng.normal(size=batch), buffers={})
     assert sum(evaluated) == 2 * batch * units + 2 * (round(2.0 / h) + 3) * units
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 4),
+       units=st.integers(1, 6), batch=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_pre_activations_match_the_elementwise_affine_map(family, m, units, batch, seed):
+    # the GEMM [x | 1] @ [w; b] against the exact x.w + b, within the rounding of
+    # a length m + 1 sum (its bits depend on the BLAS kernel), fresh and in a
+    # buffer set grown by a larger batch
+    arch = family(units, m=m)
+    rng = np.random.default_rng(seed)
+    p = random_params(arch, rng)
+    x = rng.uniform(-1.5, 1.5, size=(batch, m))
+    grown = {}
+    _forward_cache(p, TANH, rng.uniform(size=(batch + 3, m)), grown)
+    # terms[..., k, j] of z[k, j]: the products x_i w_ji and the bias, exactly
+    if family is MlpArch:
+        terms = [[[Fraction(x[k, i]) * Fraction(p.w[j, i]) for i in range(m)] + [Fraction(p.b[j])]
+                  for j in range(units)] for k in range(batch)]
+    else:
+        terms = [[[[Fraction(x[k, i]) * Fraction(p.w[j, i]), Fraction(p.b[j, i])]
+                   for j in range(units)] for k in range(batch)] for i in range(m)]
+    exact = np.vectorize(float)(np.sum(np.array(terms, dtype=object), axis=-1))
+    bound = 4 * np.finfo(float).eps * np.abs(np.array(terms, dtype=float)).sum(axis=-1)
+    for buffers in (None, grown):
+        _, (_, z, _, _) = _forward_cache(p, TANH, x, buffers)
+        assert z.shape == exact.shape
+        assert np.all(np.abs(z - exact) <= bound)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 4),
+       units=st.integers(1, 8), batch=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_l2_objective_evaluates_sigma_once_per_pre_activation(family, m, units, batch, seed):
+    # batch * n ridge pre-activations, or m planes of batch * n_b factor arguments
+    rng = np.random.default_rng(seed)
+    evaluated = []
+
+    def f(z, out=None):
+        evaluated.append(z.size)
+        return TANH.f(z, out=out)
+
+    act = Activation("counted", f, TANH.df, TANH.df_from_f)
+    p = random_params(family(units, m=m), rng)
+    objective(p, act, l2_loss(), rng.uniform(-1.0, 1.0, size=(batch, m)),
+              rng.normal(size=batch), buffers={})
+    assert sum(evaluated) == (m if family is MmlpArch else 1) * batch * units
 
 
 @settings(derandomize=True, database=None, deadline=None)
