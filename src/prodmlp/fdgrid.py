@@ -153,26 +153,36 @@ def _atomic_text(path):
 
 
 def write_field_csv(field: ScalarField, path) -> None:
-    """Write `x,y,value` rows in node order (x varies slowest)."""
-    ax = field.grid.axis()
+    """Write `x,y,value` rows in node order (x varies slowest), one batch of
+    lines per grid row; each axis value is formatted once."""
+    ax = [repr(float(a)) for a in field.grid.axis()]
     with _atomic_text(path) as fh:
         fh.write("x,y,value\n")
-        for i, x in enumerate(ax):
-            for j, y in enumerate(ax):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(field.values[i, j])!r}\n")
+        for x, row in zip(ax, field.values):
+            fh.write("".join([f"{x},{y},{float(v)!r}\n" for y, v in zip(ax, row.tolist())]))
 
 
 def read_field_csv(path) -> ScalarField:
+    """Read a field CSV whose x,y columns are a grid's nodes in node order
+    (x varies slowest); any other row raises a ValueError naming its line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "x,y,value":
             raise ValueError(f"unexpected field CSV header {header!r} in {path}")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    xs = np.array([float(r[0]) for r in rows])
-    vals = np.array([float(r[2]) for r in rows])
+        rows = [(k, line) for k, line in enumerate(fh, start=2) if line.strip()]
     n = round(np.sqrt(len(rows)))
-    if n * n != len(rows):
+    if n < 2 or n * n != len(rows):
         raise ValueError(f"field CSV {path} has {len(rows)} rows, not a square grid")
-    # x varies slowest, so consecutive x-blocks are n rows apart
-    grid = Grid2D(h=float(xs[n] - xs[0]) if n > 1 else 2.0)
+    grid = Grid2D(h=2.0 / (n - 1))
+    vals = np.empty(len(rows))
+    # node coordinates are dyadic, so the written ones compare exactly
+    for i, ((k, line), node) in enumerate(zip(rows, grid.node_array().tolist())):
+        try:
+            x, y, vals[i] = map(float, line.split(","))
+        except ValueError:
+            raise ValueError(f"field CSV {path} line {k}: {line.strip()!r} "
+                             "is not three numbers x,y,value") from None
+        if [x, y] != node:
+            raise ValueError(f"field CSV {path} line {k}: node ({x!r}, {y!r}) where the "
+                             f"grid's next node is {tuple(node)!r}")
     return ScalarField(grid=grid, values=vals.reshape(n, n))

@@ -26,7 +26,9 @@ Artifacts per run, under the output directory:
 
 plus one experiment_summary.json with per-run summaries and per-architecture
 medians across seeds.  Final metrics and error fields read one F - f array on
-the widened metric grid.  PRODMLP_OUTPUT_ROOT sets the base of relative output paths.
+the widened metric grid: a run's, the one its last training checkpoint formed;
+eval's and export-field's, the checkpoint's parameters evaluated again.
+PRODMLP_OUTPUT_ROOT sets the base of relative output paths.
 """
 
 import hashlib
@@ -479,11 +481,10 @@ def _widened_error(params, act: Activation, target: TargetFunction, mc: MetricCo
     return grid_values(params, act, axis, axis) - sample_widened(target, mc)
 
 
-def _final_summary(params, act: Activation, target: TargetFunction, mc: MetricConfig):
+def _final_summary(err: np.ndarray, target: TargetFunction, mc: MetricConfig):
     """Final metrics + localization ratio for the target's singular region,
-    plus the error field, all from one widened F - f array."""
+    plus the error field, all from the widened F - f array err."""
     region, region_desc = _singular_region(target)
-    err = _widened_error(params, act, target, mc)
     efield = node_error_field(err, mc)
     out = _metric_dict(approximation_report(err, mc))
     out["localization_ratio"] = localization_ratio(efield, region)
@@ -568,7 +569,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
             write_trace_csv(result.trace, paths["trace"])
             final, region_desc, efield = _final_summary(
-                result.params, cfg.activation, cfg.target, cfg.metrics)
+                result.final_error, cfg.target, cfg.metrics)
             write_field_csv(efield, paths["field"])
 
             first = result.trace.rows[0]
@@ -726,7 +727,8 @@ def eval_checkpoint(path, grid_h: float | None = None) -> dict:
     ck = load_checkpoint(path)
     mc = _metrics_override(ck.config, grid_h)
     _check_region(ck.config.target, mc.grid, "grid_h")
-    out, region_desc, _ = _final_summary(ck.params, ck.activation, ck.config.target, mc)
+    err = _widened_error(ck.params, ck.activation, ck.config.target, mc)
+    out, region_desc, _ = _final_summary(err, ck.config.target, mc)
     return {"run_id": ck.run_id, "iteration": ck.iteration, "seed": ck.seed,
             "singular_region": region_desc, "final": out,
             "config_digest": ck.config.digest}

@@ -250,8 +250,12 @@ class TrainingTrace:
 
 @dataclass
 class TrainResult:
+    """The final parameters, the trace, and final_error, the last checkpoint's
+    F - f on the widened metric grid (the final parameters' error)."""
+
     params: NetworkParams
     trace: TrainingTrace
+    final_error: np.ndarray
 
 
 class TrainingDiverged(RuntimeError):
@@ -309,8 +313,9 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     target_values = sample_widened(target, metrics)
     t0 = time.perf_counter()
 
-    def checkpoint(iteration: int) -> None:
-        rep = approximation_report(grid_values(params, act, axis, axis) - target_values, metrics)
+    def checkpoint(iteration: int) -> np.ndarray:
+        err = grid_values(params, act, axis, axis) - target_values
+        rep = approximation_report(err, metrics)
         trace.rows.append(TraceRow(
             iteration=iteration,
             l2_error=rep.l2_error,
@@ -318,8 +323,9 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
             zygmund_error=rep.zygmund_error,
             seconds=time.perf_counter() - t0,
         ))
+        return err
 
-    checkpoint(0)
+    err = checkpoint(0)
     centers = lap_y = None
     for it in range(1, cfg.iterations + 1):
         idx = next(batches)
@@ -335,10 +341,10 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
         state, theta = adam_step(state, theta, g)
         params = unpack_params(arch, theta)
         if it % cfg.checkpoint_interval == 0 or it == cfg.iterations:
-            checkpoint(it)
+            err = checkpoint(it)
 
     trace.batch_losses = losses
-    return TrainResult(params=params, trace=trace)
+    return TrainResult(params=params, trace=trace, final_error=err)
 
 
 # ---------------------------------------------------------------------------

@@ -194,3 +194,16 @@ def test_read_field_csv_rejects_non_square(tmp_path):
     path.write_text("x,y,value\n" + "0.0,0.0,1.0\n" * 3)
     with pytest.raises(ValueError, match="square"):
         read_field_csv(path)
+
+
+@pytest.mark.parametrize("row", ["-1.0,0.0\n", "-1.0,0.0,-1.0,5.0\n", "-1.0,0.0,abc\n"],
+                         ids=["two-fields", "four-fields", "not-a-number"])
+def test_read_field_csv_refuses_a_row_that_is_not_three_numbers(tmp_path, row):
+    # rows off the grid's node order are the property tests' case
+    path = tmp_path / "field.csv"
+    write_field_csv(sample_field(lambda p: p[:, 0] + 10 * p[:, 1], Grid2D(h=1.0)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = row
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="line 3:"):
+        read_field_csv(path)

@@ -35,6 +35,7 @@ from prodmlp.harness import (
     CHECKPOINT_FORMAT,
     OUTPUT_ROOT_ENV,
     _final_summary,
+    _widened_error,
     _write_json,
     config_digest,
     desk_config,
@@ -401,8 +402,9 @@ def test_final_summary_memory_is_bounded_at_paper_scale(arch):
     # evaluator's memory scales with an axis, so the traced peak is about 10 MB
     tracemalloc.start()
     try:
-        final, _, efield = _final_summary(init_params(arch, 0), GAUSSIAN_BUMP, RadialCone(),
-                                          MetricConfig())
+        mc = MetricConfig()
+        err = _widened_error(init_params(arch, 0), GAUSSIAN_BUMP, RadialCone(), mc)
+        final, _, efield = _final_summary(err, RadialCone(), mc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

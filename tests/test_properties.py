@@ -7,7 +7,9 @@ Hypothesis still caches the constants it reads from source files under
 """
 
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,9 @@ from prodmlp import (
     MmlpArch,
     MollifiedCircle,
     RadialCone,
+    ScalarField,
     TrainConfig,
+    TrainingTrace,
     ZygmundSpec,
     forward,
     grid_values,
@@ -35,11 +39,16 @@ from prodmlp import (
     objective,
     pack_params,
     parse_config,
+    read_field_csv,
+    read_trace_csv,
     unpack_params,
     weighted_grad_sum,
+    write_field_csv,
+    write_trace_csv,
 )
 from prodmlp.fdgrid import laplacian_stencil
 from prodmlp.network import _forward_cache
+from prodmlp.training import TraceRow
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -302,3 +311,66 @@ def test_config_round_trip_and_dataclass_defaults(target, loss, config, arch, ac
     grid = {"grid": Grid2D(SPACINGS[metrics["grid_h"]])} if metrics else {}
     assert cfg.metrics == MetricConfig(**grid, zygmund=zygmund)
     assert cfg.seeds == tuple(seeds if seeds is not None else (0, 1, 2))
+
+
+# finite doubles, with signed zero, subnormals and the ends of the range drawn often
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.225073858507201e-308, 1e-308, 1.7976931348623157e308, -1e308])
+
+
+@st.composite
+def fields(draw):
+    grid = Grid2D(h=draw(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125])))
+    n = grid.nodes_per_axis
+    return ScalarField(grid, np.array(draw(st.lists(FINITE, min_size=n * n, max_size=n * n)))
+                       .reshape(n, n))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(field=fields())
+def test_field_csv_is_the_per_cell_repr_format_and_round_trips_bitwise(field):
+    ax = field.grid.axis()
+    want = "x,y,value\n" + "".join(f"{float(x)!r},{float(y)!r},{float(field.values[i, j])!r}\n"
+                                   for i, x in enumerate(ax) for j, y in enumerate(ax))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "field.csv"
+        write_field_csv(field, path)
+        assert path.read_bytes() == want.encode()
+        back = read_field_csv(path)
+    assert back.grid == field.grid
+    # bitwise, so the sign of zero counts
+    assert back.values.tobytes() == field.values.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(field=fields(), shuffle=st.booleans(), data=st.data())
+def test_read_field_csv_refuses_rows_off_the_grid_order(field, shuffle, data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "field.csv"
+        write_field_csv(field, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        if shuffle:
+            order = data.draw(st.permutations(range(len(rows))).filter(lambda p: p != sorted(p)))
+            rows = [rows[k] for k in order]
+            bad = next(k for k, o in enumerate(order) if o != k)
+        else:
+            bad, col = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, 1))
+            cells = rows[bad].split(",")
+            old = float(cells[col])
+            cells[col] = repr(data.draw(st.floats().filter(lambda c: not c == old)))
+            rows[bad] = ",".join(cells)
+        path.write_text(header + "".join(rows))
+        with pytest.raises(ValueError, match=f"line {bad + 2}:"):
+            read_field_csv(path)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.builds(TraceRow, st.integers(0, 10**9), *[st.floats(allow_nan=False)] * 4),
+                     max_size=20))
+def test_trace_csv_round_trips_exactly(rows):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trace.csv"
+        write_trace_csv(TrainingTrace(rows=rows), path)
+        back = read_trace_csv(path).rows
+    # repr tells every non-NaN double apart, -0.0 from 0.0 included
+    assert repr(back) == repr(rows)

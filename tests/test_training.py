@@ -296,6 +296,18 @@ def test_train_initial_checkpoint_is_the_untrained_network():
     assert first.zygmund_error == rep.zygmund_error
 
 
+def test_train_final_error_is_the_final_parameters_error():
+    # the final summary reads final_error in place of evaluating the network again
+    cfg = TrainConfig(iterations=5, batch_size=4, samples=8, checkpoint_interval=2, seed=3)
+    for arch in (MlpArch(4), MmlpArch(3)):
+        res = train(arch, GAUSSIAN_BUMP, CONE, h2_loss(h=1.0 / 16.0), cfg, metrics=SMALL_METRICS)
+        axis = widened_axis(SMALL_METRICS)
+        err = (grid_values(res.params, GAUSSIAN_BUMP, axis, axis)
+               - sample_widened(CONE, SMALL_METRICS))
+        assert np.array_equal(res.final_error, err)
+        assert res.trace.rows[-1].l2_error == approximation_report(err, SMALL_METRICS).l2_error
+
+
 def test_train_replay_is_bitwise_identical():
     cfg = TrainConfig(iterations=40, batch_size=16, samples=64, checkpoint_interval=20, seed=2)
     runs = [train(MmlpArch(6), GAUSSIAN_BUMP, CONE, h2_loss(h=1.0 / 16.0), cfg,
