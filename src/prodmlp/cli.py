@@ -135,8 +135,8 @@ def main(argv=None) -> int:
         return _fail("checkpoint", str(e))
     except TrainingDiverged as e:
         return _fail("diverged", str(e))
-    except (ValueError, OSError) as e:
-        return _fail("runtime", str(e))
+    except (ValueError, OSError, MemoryError) as e:
+        return _fail("runtime", str(e) or type(e).__name__)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ switching to a one-sided formula.
 """
 
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -58,9 +59,9 @@ class Grid2D:
     def nodes_per_axis(self) -> int:
         return self.divisions + 1
 
-    def axis(self) -> np.ndarray:
-        # exact for dyadic h
-        return -1.0 + self.h * np.arange(self.nodes_per_axis)
+    def axis(self, widen: int = 0) -> np.ndarray:
+        """Node coordinates -1 + i*h for -widen <= i <= M + widen, exact for dyadic h."""
+        return -1.0 + self.h * np.arange(-widen, self.nodes_per_axis + widen)
 
     def node_array(self) -> np.ndarray:
         """All nodes as (nodes_per_axis**2, 2), x-index outermost."""
@@ -122,8 +123,7 @@ def discrete_laplacian(fn, x: np.ndarray, h: float):
 def laplacian_field(fn, grid: Grid2D) -> ScalarField:
     """Discrete Laplacian of fn on every node, spacing grid.h, each value discrete_laplacian's
     coeffs @ vals; fn is evaluated once per node of the grid widened by one, row by row."""
-    n = grid.nodes_per_axis
-    u = -1.0 + grid.h * np.arange(-1, n + 1)
+    n, u = grid.nodes_per_axis, grid.axis(1)
     v = np.array([fn(np.column_stack([np.full_like(u, a), u])) for a in u], dtype=float)
     coeffs = laplacian_stencil(grid.h)[1]
     lap = [coeffs @ np.stack([v[i, 1:-1], v[i + 1, 1:-1], v[i - 1, 1:-1], v[i, 2:], v[i, :-2]])
@@ -152,6 +152,39 @@ def _atomic_text(path):
         raise
 
 
+def _line_error(path, columns: int, row: int = -1, complaint: str = "") -> ValueError:
+    """A ValueError naming the line of a CSV artifact's data row `row`, or by default of
+    its first row that np.loadtxt, reading the line alone, refuses as `columns` numbers."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, start=1) if k > 1 and ln != "\n"]
+    for r, (k, line) in enumerate(rows):
+        try:
+            ok = np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape == (1, columns)
+        except ValueError:
+            ok = False
+        if r == row or not ok:
+            return ValueError(f"CSV {path} line {k}: {line!r} "
+                              f"{complaint or f'is not {columns} comma-separated numbers'}")
+    return ValueError(f"CSV {path} is not a table of {columns} columns")
+
+
+def _read_table(path, header: str, columns: int) -> np.ndarray:
+    """The rows under a CSV artifact's header line as a (rows, columns) float array read
+    by np.loadtxt; a file that it refuses raises _line_error."""
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # a file of no rows
+        head = fh.readline().strip()
+        if head != header:
+            raise ValueError(f"unexpected CSV header {head!r} in {path}, expected {header!r}")
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            raise _line_error(path, columns) from None
+    if table.size and table.shape[1] != columns:
+        raise _line_error(path, columns)
+    return table.reshape(-1, columns)
+
+
 def write_field_csv(field: ScalarField, path) -> None:
     """Write `x,y,value` rows in node order (x varies slowest), one batch of
     lines per grid row; each axis value is formatted once."""
@@ -165,24 +198,14 @@ def write_field_csv(field: ScalarField, path) -> None:
 def read_field_csv(path) -> ScalarField:
     """Read a field CSV whose x,y columns are a grid's nodes in node order
     (x varies slowest); any other row raises a ValueError naming its line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,value":
-            raise ValueError(f"unexpected field CSV header {header!r} in {path}")
-        rows = [(k, line) for k, line in enumerate(fh, start=2) if line.strip()]
-    n = round(np.sqrt(len(rows)))
-    if n < 2 or n * n != len(rows):
-        raise ValueError(f"field CSV {path} has {len(rows)} rows, not a square grid")
+    table = _read_table(path, "x,y,value", 3)
+    n = round(np.sqrt(len(table)))
+    if n < 2 or n * n != len(table):
+        raise ValueError(f"field CSV {path} has {len(table)} rows, not a square grid")
     grid = Grid2D(h=2.0 / (n - 1))
-    vals = np.empty(len(rows))
+    nodes = grid.node_array()
     # node coordinates are dyadic, so the written ones compare exactly
-    for i, ((k, line), node) in enumerate(zip(rows, grid.node_array().tolist())):
-        try:
-            x, y, vals[i] = map(float, line.split(","))
-        except ValueError:
-            raise ValueError(f"field CSV {path} line {k}: {line.strip()!r} "
-                             "is not three numbers x,y,value") from None
-        if [x, y] != node:
-            raise ValueError(f"field CSV {path} line {k}: node ({x!r}, {y!r}) where the "
-                             f"grid's next node is {tuple(node)!r}")
-    return ScalarField(grid=grid, values=vals.reshape(n, n))
+    off = np.flatnonzero(np.any(table[:, :2] != nodes, axis=1))
+    if off.size:
+        raise _line_error(path, 3, off[0], f"is not at node {tuple(nodes[off[0]].tolist())!r}")
+    return ScalarField(grid=grid, values=table[:, 2].reshape(n, n).copy())

@@ -385,8 +385,7 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def desk_config(target: str = "cone", loss: str = "l2", n_b: int = 64,
-                activation: str = "gaussian", seeds=(0, 1, 2),
+def desk_config(target: str = "cone", loss: str = "l2", seeds=(0, 1, 2),
                 output_dir: str | None = None) -> dict:
     """Desk-scale config dict: matched pair, 2000 iterations, coarse metrics.
 
@@ -395,8 +394,8 @@ def desk_config(target: str = "cone", loss: str = "l2", n_b: int = 64,
     """
     cfg = {
         "target": target,
-        "arch": {"matched_pair": n_b},
-        "activation": activation,
+        "arch": {"matched_pair": 64},
+        "activation": "gaussian",
         "loss": loss if loss == "l2" else {"kind": "h2", "lambda": 1e-2, "h": "1/128"},
         "train": {
             "iterations": 2000,

@@ -43,42 +43,21 @@ class ZygmundSpec:
         max over grid nodes x and increments v of
             |u(x + v) + u(x - v) - 2 u(x)| / |v| ** alpha
 
-    with increments v = k * h_z * e for k = 1..k_max along the coordinate
-    axes (plus the two diagonal directions when include_diagonals is set;
-    |v| is the Euclidean length, so diagonal increments are longer by
-    sqrt(2)).  h_z defaults to the spacing of the evaluation grid and must be
-    an integer multiple of it.
-
-    denominator_exponent overrides the power of |v| in the quotient (it
-    defaults to alpha); setting it to 1 + alpha measures oscillations on the
-    first-derivative scale instead.
+    with increments v = k * h * e for k = 1..k_max, h the spacing of the
+    evaluation grid and e a coordinate axis (plus the two diagonal directions
+    when include_diagonals is set; |v| is the Euclidean length, so diagonal
+    increments are longer by sqrt(2)).
     """
 
     alpha: float = 0.8
-    h_z: float | None = None
     k_max: int = 8
     include_diagonals: bool = False
-    denominator_exponent: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.h_z is not None and not self.h_z > 0:
-            raise ValueError(f"h_z must be positive, got {self.h_z}")
-
-    def resolved_h(self, grid: Grid2D) -> tuple[float, int]:
-        """Increment spacing and its stride in grid nodes."""
-        if self.h_z is None:
-            return grid.h, 1
-        stride = self.h_z / grid.h
-        if abs(stride - round(stride)) > 1e-12 or round(stride) < 1:
-            raise ValueError(
-                f"h_z={self.h_z} must be a positive integer multiple of the "
-                f"grid spacing {grid.h}"
-            )
-        return self.h_z, round(stride)
 
 
 def zygmund_seminorm(u, spec: ZygmundSpec, grid: Grid2D) -> float:
@@ -156,11 +135,10 @@ class MetricReport:
 
 
 def widened_axis(mc: MetricConfig) -> np.ndarray:
-    """Per-axis nodes of the metric grid widened by k_max Zygmund strides per
-    side: they hold every node, stencil point and increment of the metrics,
-    and node arithmetic is dyadic, so slicing reproduces direct evaluation."""
-    margin = mc.zygmund.k_max * mc.zygmund.resolved_h(mc.grid)[1]
-    return -1.0 + mc.grid.h * np.arange(-margin, mc.grid.divisions + margin + 1)
+    """Per-axis nodes of the metric grid widened by k_max nodes per side: they
+    hold every node, stencil point and increment of the metrics, and node
+    arithmetic is dyadic, so slicing reproduces direct evaluation."""
+    return mc.grid.axis(mc.zygmund.k_max)
 
 
 def sample_widened(u, mc: MetricConfig) -> np.ndarray:
@@ -191,22 +169,19 @@ def approximation_report(err: np.ndarray, mc: MetricConfig) -> MetricReport:
     function F - f, from the increment blocks."""
     block = _blocks(err, mc)
     grid, spec = mc.grid, mc.zygmund
-    h_z, stride = spec.resolved_h(grid)
     offsets, coeffs = laplacian_stencil(grid.h)
     lap = sum(c * block(*np.rint(o / grid.h).astype(int)) for o, c in zip(offsets, coeffs))
     sq, lap_sq = float(np.mean(block() ** 2)), float(np.mean(lap**2))
 
-    expo = spec.alpha if spec.denominator_exponent is None else spec.denominator_exponent
     best = 0.0
     for k in range(1, spec.k_max + 1):
-        d = k * stride
-        length = k * h_z
-        shifts = [((d, 0), length), ((0, d), length)]
+        length = k * grid.h
+        shifts = [((k, 0), length), ((0, k), length)]
         if spec.include_diagonals:
-            shifts += [((d, d), length * np.sqrt(2.0)), ((d, -d), length * np.sqrt(2.0))]
+            shifts += [((k, k), length * np.sqrt(2.0)), ((k, -k), length * np.sqrt(2.0))]
         for (di, dj), vlen in shifts:
             second = block(di, dj) + block(-di, -dj) - 2.0 * block()
             # np.maximum, unlike a comparison, carries a NaN through
-            best = float(np.maximum(best, np.abs(second).max() / vlen**expo))
+            best = float(np.maximum(best, np.abs(second).max() / vlen**spec.alpha))
     return MetricReport(l2_error=float(np.sqrt(sq)), h2_error=float(np.sqrt(sq + lap_sq)),
                         zygmund_error=best)

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ._seeds import ROLE_INIT, stream
-from .fdgrid import laplacian_stencil
+from .fdgrid import Grid2D, laplacian_stencil
 
 __all__ = [
     "Activation",
@@ -339,10 +339,10 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
     its weights by the stencil over the widened grid, where F - c = (S_x alpha) S_y^T."""
     offsets, coeffs = laplacian_stencil(h)
     pts = nodes[None] + np.rint(offsets / h).astype(np.intp)[:, None]    # (5, k, 2)
+    u = Grid2D(h).axis(1)
     if isinstance(p, MlpParams):
-        return _values_vjp(p, act, (-1.0 + h * pts).reshape(-1, 2), coeffs, buffers)
-    n, size = len(p.alpha), round(2.0 / h) + 3
-    u = -1.0 + h * np.arange(-1, size - 1)
+        return _values_vjp(p, act, u[pts + 1].reshape(-1, 2), coeffs, buffers)
+    n, size = len(p.alpha), len(u)
     xz, z, s = _planes(p, act, np.broadcast_to(u[:, None], (size, 2)), buffers)
     d = np.multiply(s[:, 1:-1], -2.0, out=_work(buffers, "d", (2, size - 2, n)))
     d += s[:, 2:]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._seeds import ROLE_BATCH, ROLE_GRID_BATCH, stream
-from .fdgrid import Grid2D, _atomic_text, laplacian_field
+from .fdgrid import Grid2D, _atomic_text, _line_error, _read_table, laplacian_field
 from .metrics import MetricConfig, approximation_report, sample_widened, widened_axis
 from .network import (
     Arch,
@@ -365,14 +365,9 @@ def write_trace_csv(trace: TrainingTrace, path) -> None:
 
 
 def read_trace_csv(path) -> TrainingTrace:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace CSV header {header!r} in {path}")
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            it, l2, h2, zy, sec = line.split(",")
-            rows.append(TraceRow(int(it), float(l2), float(h2), float(zy), float(sec)))
-    return TrainingTrace(rows=rows)
+    table = _read_table(path, TRACE_HEADER, 5)
+    it = table[:, 0]
+    bad = np.flatnonzero(np.isinf(it) | (it != np.trunc(it)))
+    if bad.size:
+        raise _line_error(path, 5, bad[0], "has no integer iteration")
+    return TrainingTrace(rows=[TraceRow(int(k), *rest) for k, *rest in table.tolist()])

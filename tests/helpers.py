@@ -52,6 +52,22 @@ def naive_forward(p, act, x):
     return float(total)
 
 
+def zygmund_oracle(u, spec, grid):
+    """Discrete Zygmund seminorm by exhaustive loops: u is evaluated afresh, one
+    point at a time, at every node and every increment k * h along the axes (and
+    the diagonals when spec.include_diagonals is set)."""
+    at = lambda p: float(np.ravel(u(p[None, :]))[0])
+    best = 0.0
+    for node in grid.node_array():
+        for k in range(1, spec.k_max + 1):
+            d = k * grid.h
+            dirs = [(d, 0.0), (0.0, d)] + ([(d, d), (d, -d)] if spec.include_diagonals else [])
+            for v in map(np.array, dirs):
+                second = at(node + v) + at(node - v) - 2.0 * at(node)
+                best = max(best, abs(second) / float(np.hypot(*v)) ** spec.alpha)
+    return best
+
+
 def random_params(arch, rng, scale=1.0):
     """Random parameter vector for gradient sweeps, away from special points."""
     from prodmlp import param_count

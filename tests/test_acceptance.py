@@ -18,7 +18,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, random_params, record_criterion, relative_error
+from helpers import (fd_gradient, random_params, record_criterion, relative_error,
+                     zygmund_oracle)
 
 from prodmlp import (
     GAUSSIAN_BUMP,
@@ -174,23 +175,6 @@ def test_criterion_3_discrete_laplacian_exact_on_cubic_monomials():
 # ---------------------------------------------------------------------------
 
 
-def _zygmund_oracle(u, spec, grid):
-    """Exhaustive double loop, evaluating u afresh at every increment."""
-    hz, _ = spec.resolved_h(grid)
-    expo = spec.alpha if spec.denominator_exponent is None else spec.denominator_exponent
-    best = 0.0
-    for node in grid.node_array():
-        for d in range(2):
-            for k in range(1, spec.k_max + 1):
-                v = np.zeros(2)
-                v[d] = k * hz
-                num = abs(float(u((node + v)[None, :])[0])
-                          + float(u((node - v)[None, :])[0])
-                          - 2.0 * float(u(node[None, :])[0]))
-                best = max(best, num / (k * hz) ** expo)
-    return best
-
-
 def test_criterion_4_zygmund_seminorm_reference_behavior():
     grid8 = Grid2D(h=1.0 / 8.0)
     rng = np.random.default_rng(11)
@@ -212,7 +196,7 @@ def test_criterion_4_zygmund_seminorm_reference_behavior():
         for u in funcs:
             direct = zygmund_seminorm(u, spec, grid8)
             worst_oracle = max(worst_oracle,
-                               abs(direct - _zygmund_oracle(u, spec, grid8)))
+                               abs(direct - zygmund_oracle(u, spec, grid8)))
     ok_oracle = worst_oracle <= 1e-12
 
     kink = lambda x: np.abs(x[..., 0])

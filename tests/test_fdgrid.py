@@ -43,6 +43,10 @@ def test_axis_nodes_are_exact():
     for i in (1, 13, 64, 100, 128):
         assert ax[i] == -1.0 + i * g.h
     assert 0.0 in ax
+    # widened by 3 nodes per side, on the same node formula
+    wide = g.axis(3)
+    assert wide[0] == -1.0 - 3 * g.h and wide[-1] == 1.0 + 3 * g.h
+    assert np.array_equal(wide[3:-3], ax)
 
 
 def test_node_array_order():
@@ -196,8 +200,10 @@ def test_read_field_csv_rejects_non_square(tmp_path):
         read_field_csv(path)
 
 
-@pytest.mark.parametrize("row", ["-1.0,0.0\n", "-1.0,0.0,-1.0,5.0\n", "-1.0,0.0,abc\n"],
-                         ids=["two-fields", "four-fields", "not-a-number"])
+@pytest.mark.parametrize("row", ["-1.0,0.0\n", "-1.0,0.0,-1.0,5.0\n", "-1.0,0.0,abc\n",
+                                 "-1.0,0.0,1_0\n", "   \n"],
+                         ids=["two-fields", "four-fields", "not-a-number",
+                              "python-only-number", "blank-but-spaces"])
 def test_read_field_csv_refuses_a_row_that_is_not_three_numbers(tmp_path, row):
     # rows off the grid's node order are the property tests' case
     path = tmp_path / "field.csv"

@@ -1,5 +1,6 @@
 """Config parsing, experiment artifacts, checkpoints, CLI."""
 
+import dataclasses
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from prodmlp import (
     MollifiedCircle,
     RadialCone,
     ScalarField,
+    ZygmundSpec,
     eval_checkpoint,
     export_field,
     init_params,
@@ -34,6 +36,11 @@ from prodmlp.cli import main
 from prodmlp.harness import (
     CHECKPOINT_FORMAT,
     OUTPUT_ROOT_ENV,
+    _LOSSES,
+    _METRICS,
+    _TARGETS,
+    _TRAIN,
+    _ZYGMUND,
     _final_summary,
     _widened_error,
     _write_json,
@@ -43,7 +50,7 @@ from prodmlp.harness import (
     run_id_for,
 )
 from prodmlp.network import GAUSSIAN_BUMP, pack_params
-from prodmlp.training import l2_loss
+from prodmlp.training import LossSpec, TrainConfig, l2_loss
 
 
 def micro_config(tmp_path, **overrides):
@@ -202,6 +209,24 @@ def test_train_config_mapping():
     tc = cfg.train_config(seed=4)
     assert (tc.iterations, tc.batch_size, tc.samples, tc.seed) == (7, 3, 9, 4)
     assert tc.learning_rate == 0.5 and tc.beta1 == 0.9
+
+
+def _fields_set_by(table):
+    """Names of the dataclass fields that a section table's keys set."""
+    return {name for entry in table.values()
+            for name in (_fields_set_by(entry) if isinstance(entry, dict) else [entry[0]])}
+
+
+def test_every_config_section_field_is_set_by_a_config_key():
+    # a field no key sets is a setting nothing can change: it should be a constant
+    sections = [(ZygmundSpec, _ZYGMUND), (MetricConfig, _METRICS), (TrainConfig, _TRAIN),
+                (LossSpec, {k: e for _, t in _LOSSES.values() for k, e in t.items()}),
+                *_TARGETS.values()]
+    unset = {cls.__name__: {f.name for f in dataclasses.fields(cls)} - _fields_set_by(table)
+             for cls, table in sections}
+    # seed comes from the config's seeds list, kind from the loss's kind
+    assert unset == {"ZygmundSpec": set(), "MetricConfig": set(), "TrainConfig": {"seed"},
+                     "LossSpec": {"kind"}, "MollifiedCircle": set(), "RadialCone": set()}
 
 
 def test_load_config_errors(tmp_path):
@@ -532,6 +557,21 @@ def test_cli_run_eval_export(tmp_path, capsys):
     assert main(["export-field", str(ck), "--out", str(dest), "--grid", "2"]) == 0
     capsys.readouterr()
     assert read_field_csv(dest).grid.h == 2.0
+
+
+def test_cli_out_of_memory_is_one_json_error(tmp_path, capsys, monkeypatch):
+    # a grid too fine for memory fails in numpy's allocator; raised here, not
+    # provoked, since an overcommitting host may kill the process instead
+    def too_large(*_):
+        raise MemoryError("Unable to allocate 32.0 TiB for an array")
+
+    monkeypatch.setattr("prodmlp.harness._check_region", too_large)
+    path = write_config(tmp_path, micro_config(tmp_path))
+    assert main(["validate", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "runtime",
+                                    "message": "Unable to allocate 32.0 TiB for an array"}
 
 
 def test_cli_eval_missing_checkpoint(tmp_path, capsys):

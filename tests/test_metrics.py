@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import zygmund_oracle
 
 from prodmlp import (
     Grid2D,
@@ -36,17 +37,6 @@ def test_spec_validation():
         ZygmundSpec(alpha=1.0)
     with pytest.raises(ValueError):
         ZygmundSpec(k_max=0)
-    with pytest.raises(ValueError):
-        ZygmundSpec(h_z=-0.1)
-
-
-def test_resolved_increment_spacing():
-    spec = ZygmundSpec()
-    assert spec.resolved_h(GRID8) == (GRID8.h, 1)
-    spec2 = ZygmundSpec(h_z=0.25)
-    assert spec2.resolved_h(GRID8) == (0.25, 2)
-    with pytest.raises(ValueError, match="integer multiple"):
-        ZygmundSpec(h_z=0.3).resolved_h(GRID8)
 
 
 # ---------------------------------------------------------------------------
@@ -99,32 +89,6 @@ def test_diagonal_increments():
     assert abs(with_diag - 1.515716566510398) < 1e-12
 
 
-def test_denominator_exponent_override():
-    # measuring |x| on the first-derivative scale: 2 h / h^1.8 = 2 h^{-0.8};
-    # h = 1/8 gives 2 * 8^0.8 = 10.556063286183154 (mpmath)
-    u = lambda x: np.hypot(x[..., 0], x[..., 1])
-    spec = ZygmundSpec(alpha=0.8, k_max=1, denominator_exponent=1.8)
-    assert abs(zygmund_seminorm(u, spec, GRID8) - 10.556063286183154) < 1e-10
-
-
-def _seminorm_oracle(u, spec, grid):
-    """Exhaustive double loop, evaluating u afresh at every shifted point."""
-    h_z, stride = spec.resolved_h(grid)
-    expo = spec.alpha if spec.denominator_exponent is None else spec.denominator_exponent
-    best = 0.0
-    for node in grid.node_array():
-        for k in range(1, spec.k_max + 1):
-            d = k * h_z
-            dirs = [np.array([d, 0.0]), np.array([0.0, d])]
-            if spec.include_diagonals:
-                dirs += [np.array([d, d]), np.array([d, -d])]
-            for v in dirs:
-                length = float(np.hypot(*v))
-                second = float(u(node + v) + u(node - v) - 2.0 * u(node))
-                best = max(best, abs(second) / length**expo)
-    return best
-
-
 def test_seminorm_matches_exhaustive_oracle():
     # the vectorized extended-grid evaluation against plain loops on the
     # 17x17 grid, for a function with no special structure
@@ -136,10 +100,9 @@ def test_seminorm_matches_exhaustive_oracle():
     for spec in (ZygmundSpec(),
                  ZygmundSpec(alpha=0.35, k_max=3),
                  ZygmundSpec(alpha=0.8, k_max=3, include_diagonals=True),
-                 ZygmundSpec(alpha=0.8, k_max=2, h_z=0.25),
-                 ZygmundSpec(alpha=0.6, k_max=4, denominator_exponent=1.6)):
+                 ZygmundSpec(alpha=0.6, k_max=4)):
         got = zygmund_seminorm(u, spec, GRID8)
-        want = _seminorm_oracle(u, spec, GRID8)
+        want = zygmund_oracle(u, spec, GRID8)
         assert abs(got - want) <= 1e-12, spec
 
 
@@ -297,11 +260,10 @@ def test_approximation_report_propagates_nan():
 
 
 def test_approximation_report_evaluates_once_on_the_widened_grid():
-    # every metric reads slices of one array on the grid widened by
-    # k_max * stride nodes per side: (17 + 2 * 2)**2 and (17 + 2 * 2 * 2)**2,
-    # which sample_widened fills with one call
-    for spec, points in ((ZygmundSpec(k_max=2), 21**2),
-                         (ZygmundSpec(k_max=2, h_z=2 * GRID8.h), 25**2)):
+    # every metric reads slices of one array on the grid widened by k_max
+    # nodes per side: (17 + 2 * 2)**2 and (17 + 2 * 4)**2, which
+    # sample_widened fills with one call
+    for spec, points in ((ZygmundSpec(k_max=2), 21**2), (ZygmundSpec(k_max=4), 25**2)):
         calls = []
 
         def F(x):

@@ -379,3 +379,12 @@ def test_trace_csv_rejects_bad_header(tmp_path):
     path.write_text("iteration,loss\n0,1.0\n")
     with pytest.raises(ValueError, match="header"):
         read_trace_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1.5,1.0,1.0,1.0,0.5", "inf,1.0,1.0,1.0,0.5", "3,1.0,1.0,1.0"],
+                         ids=["fractional-iteration", "infinite-iteration", "four-fields"])
+def test_trace_csv_refuses_a_bad_row_naming_its_line(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{TRACE_HEADER}\n0,1.0,1.0,1.0,0.0\n\n{row}\n")
+    with pytest.raises(ValueError, match="line 4:"):
+        read_trace_csv(path)
