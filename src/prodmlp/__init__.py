@@ -63,13 +63,11 @@ from .network import (
     MmlpParams,
     activation_by_name,
     forward,
-    grad_params,
     grid_values,
     init_params,
     matched_additive_width,
     pack_params,
     param_count,
-    predictor,
     unpack_params,
     weighted_grad_sum,
 )

@@ -35,6 +35,18 @@ def _fail(kind: str, message: str) -> int:
     return 1
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors become main's one JSON line;
+    add_subparsers makes its subparsers of the same class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     result = run_experiment(cfg)
@@ -89,8 +101,8 @@ def _cmd_mollifier_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="prodmlp", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="prodmlp", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run every (architecture, seed) combination of a config")
@@ -126,7 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as e:
+        return _fail("usage", str(e))
     try:
         return args.fn(args)
     except ConfigError as e:

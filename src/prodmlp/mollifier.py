@@ -83,8 +83,8 @@ def build_kernel(act: Activation, m: int, eps: float,
     """Construct the normalized product kernel for one activation and scale."""
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     radius = _window_radius(act)
     t, w = _quad_axis(radius, quad_points)
     l1 = float(w @ np.abs(act.f(t)))
@@ -164,14 +164,14 @@ def convergence_report(act: Activation, eps_list, f, grid: Grid2D,
     """Mollification error of f on the grid nodes for a decreasing eps list.
 
     For each eps: sup and root-mean-square node error of f * xi_eps against
-    f.  The eps list must be positive and strictly decreasing so the rows
+    f.  The eps list must be finite, positive and strictly decreasing so the rows
     read as a convergence table.
     """
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
         raise ValueError("eps list is empty")
-    if any(e <= 0 for e in eps_arr):
-        raise ValueError(f"eps values must be positive, got {eps_arr}")
+    if not all(0 < e < np.inf for e in eps_arr):
+        raise ValueError(f"eps values must be finite and positive, got {eps_arr}")
     if any(a <= b for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError(f"eps values must be strictly decreasing, got {eps_arr}")
 

@@ -50,9 +50,7 @@ __all__ = [
     "unpack_params",
     "forward",
     "grid_values",
-    "grad_params",
     "weighted_grad_sum",
-    "predictor",
     "near_zero_factor_weights",
 ]
 
@@ -81,7 +79,7 @@ TANH = Activation(
 # smooth, even, rapidly decaying bump; integrable on the line unlike tanh
 GAUSSIAN_BUMP = Activation(
     "gaussian",
-    lambda z, out=None: np.exp(np.negative(np.multiply(z, z, out=out), out=out), out=out),
+    lambda z, out=None: np.exp(np.negative(np.square(z, out=out), out=out), out=out),
     lambda z: -2.0 * z * np.exp(-(z * z)),
     lambda z, s, out=None: np.multiply(np.multiply(-2.0, z, out=out), s, out=out),
 )
@@ -251,11 +249,11 @@ def _work(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
     return buffers[key][..., : shape[-2], :]
 
 
-def _planes(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None):
-    """sigma's argument z and its value s on a batch, and the [x | 1] stack xz
-    whose product with the [w; b] stack is z: one GEMM (batch, m + 1) @ (m + 1, n)
-    for ridge units, one batched GEMM (m, batch, 2) @ (m, 2, n_b) of contiguous
-    per-coordinate planes for product blocks."""
+def _planes(p: NetworkParams, xb: np.ndarray, buffers=None):
+    """The [x | 1] stack xz and sigma's argument z = xz @ [w; b] on a batch: one
+    GEMM (batch, m + 1) @ (m + 1, n) for ridge units, one batched GEMM
+    (m, batch, 2) @ (m, 2, n_b) of contiguous per-coordinate planes for product
+    blocks."""
     rows, m = xb.shape
     if isinstance(p, MlpParams):
         xz = _work(buffers, "x1", (rows, m + 1))
@@ -270,8 +268,7 @@ def _planes(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None):
     else:
         raise TypeError(f"not a parameter container: {p!r}")
     xz[..., -1] = 1.0
-    z = np.matmul(xz, wb, out=_work(buffers, "z", (*xz.shape[:-1], wb.shape[-1])))
-    return xz, z, act.f(z, out=_work(buffers, "s", z.shape))
+    return xz, np.matmul(xz, wb, out=_work(buffers, "z", (*xz.shape[:-1], wb.shape[-1])))
 
 
 def _flat_grad(p: NetworkParams, g: np.ndarray, d_alpha, d_c) -> np.ndarray:
@@ -283,45 +280,61 @@ def _flat_grad(p: NetworkParams, g: np.ndarray, d_alpha, d_c) -> np.ndarray:
 def _forward_cache(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None):
     """Batch forward pass returning (values, cache of intermediates).
 
-    The cache (xz, z, s, h) holds _planes' [x | 1] stack, pre-activations and
-    activations, and the (batch, units) hidden features that alpha weighs: h = s
-    for ridge units, the block products for product blocks.  _weighted_grad_cached
-    reuses it, so a step evaluates each transcendental once, in a buffer set's
-    arrays if given.
+    The cache (xz, z, s, h) holds _planes' [x | 1] stack and pre-activations,
+    the activations s, and the (batch, units) hidden features that alpha weighs:
+    h = s for ridge units, the block products for product blocks.  A block of
+    gaussian factors is one gaussian, prod_i exp(-z_i^2) = exp(-sum_i z_i^2), so
+    its h is one exponential of the summed squared planes and s is never formed
+    (None).  _weighted_grad_cached reuses the cache, so a step evaluates each
+    transcendental once, in a buffer set's arrays if given.
     """
-    xz, z, s = _planes(p, act, xb, buffers)
-    if isinstance(p, MlpParams):
-        h = s
+    xz, z = _planes(p, xb, buffers)
+    if isinstance(p, MmlpParams) and act is GAUSSIAN_BUMP:
+        s, h = None, np.square(z[0], out=_work(buffers, "h", z[0].shape))
+        for zi in z[1:]:
+            h += np.square(zi, out=_work(buffers, "t", h.shape))
+        np.exp(np.negative(h, out=h), out=h)
     else:
-        h = s[0] if len(s) == 1 else reduce(
-            partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
+        s = act.f(z, out=_work(buffers, "s", z.shape))
+        if isinstance(p, MlpParams):
+            h = s
+        else:
+            h = s[0] if len(s) == 1 else reduce(
+                partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
     return h @ p.alpha + p.c, (xz, z, s, h)
 
 
 def _weighted_grad_cached(p: NetworkParams, act: Activation, coef: np.ndarray,
                           cache, buffers=None) -> np.ndarray:
     """coef @ dF/dtheta over the cached batch.  dF/d[w; b] is [x | 1]^T sigma'(z)
-    alpha per sample, so one GEMM of C = coef [x | 1] against sigma'(z), times a
-    coordinate's leave-one-out product for product blocks, reduces the batch, and
-    alpha scales the small (., units) result."""
+    alpha per sample, so per plane one GEMM of C = coef [x | 1] against sigma'(z),
+    times the plane's leave-one-out product for product blocks, reduces the batch,
+    and alpha scales the small (., units) result.  For the gaussian that factor is
+    -2 z_i h (ridge units: h = s), so it takes one pass per plane and the exact
+    -2 joins alpha."""
     xz, z, s, h = cache
     c = np.multiply(xz, coef[:, None], out=_work(buffers, "C", xz.shape))
-    if isinstance(p, MlpParams):
-        g = c.T @ act.df_from_f(z, s, out=_work(buffers, "t", z.shape))
+    ridge = isinstance(p, MlpParams)
+    if ridge:
+        c, z, s = c[None], z[None], s[None]
+    m = len(z)
+    g = np.empty((m, c.shape[-1], len(p.alpha)))
+    t = _work(buffers, "t", h.shape)
+    if act is GAUSSIAN_BUMP:
+        for i in range(m):
+            np.matmul(c[i].T, np.multiply(z[i], h, out=t), out=g[i])
+        g *= -2.0 * p.alpha
     else:
-        # coordinate i's factor derivative times the product of the other planes;
-        # a plain product with no division, so factors that are exactly zero stay exact
-        m = len(z)
-        g = np.empty((m, 2, len(p.alpha)))
-        t = _work(buffers, "t", h.shape)
+        # a plain leave-one-out product with no division, so factors that are
+        # exactly zero stay exact
         loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
         for i in range(m):
             act.df_from_f(z[i], s[i], out=t)
             if m > 1:
                 t *= reduce(loo, [s[j] for j in range(m) if j != i])
             np.matmul(c[i].T, t, out=g[i])
-    g *= p.alpha
-    return _flat_grad(p, g, coef @ h, coef.sum())
+        g *= p.alpha
+    return _flat_grad(p, g[0] if ridge else g, coef @ h, coef.sum())
 
 
 def _values_vjp(p: NetworkParams, act: Activation, pts: np.ndarray, coeffs, buffers=None):
@@ -343,7 +356,8 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
     if isinstance(p, MlpParams):
         return _values_vjp(p, act, u[pts + 1].reshape(-1, 2), coeffs, buffers)
     n, size = len(p.alpha), len(u)
-    xz, z, s = _planes(p, act, np.broadcast_to(u[:, None], (size, 2)), buffers)
+    xz, z = _planes(p, np.broadcast_to(u[:, None], (size, 2)), buffers)
+    s = act.f(z, out=_work(buffers, "s", z.shape))
     d = np.multiply(s[:, 1:-1], -2.0, out=_work(buffers, "d", (2, size - 2, n)))
     d += s[:, 2:]
     d += s[:, :-2]                                              # h^2 D
@@ -407,19 +421,6 @@ def weighted_grad_sum(p: NetworkParams, act: Activation, x: np.ndarray, coef: np
     if coef.shape != (xb.shape[0],):
         raise ValueError(f"coef must have shape ({xb.shape[0]},), got {coef.shape}")
     return _values_vjp(p, act, xb, np.ones(1))[1](coef)
-
-
-def grad_params(p: NetworkParams, act: Activation, x: np.ndarray) -> np.ndarray:
-    """Gradient of F(x) with respect to every trainable scalar, flat layout."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"grad_params takes a single point of shape (m,), got {x.shape}")
-    return weighted_grad_sum(p, act, x[None, :], np.ones(1))
-
-
-def predictor(p: NetworkParams, act: Activation):
-    """Close over (params, activation) as a plain vectorized callable."""
-    return lambda x: forward(p, act, x)
 
 
 def near_zero_factor_weights(p: NetworkParams, tol: float = 1e-6) -> int:

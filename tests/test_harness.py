@@ -631,3 +631,29 @@ def test_cli_mollifier_demo_bad_eps(capsys):
     assert main(["mollifier-demo", "--eps", "0.4,bogus"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage"
+
+
+@pytest.mark.parametrize("eps", ["inf", "1e400"])
+def test_cli_mollifier_demo_infinite_eps(capsys, eps):
+    # 1e400 parses as inf; the table would read inf,nan,nan
+    assert main(["mollifier-demo", "--eps", eps]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    err = json.loads(err)
+    assert err["error"] == "runtime" and "finite and positive" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["bogus"],
+                                  ["mollifier-demo", "--quad-points", "abc"]])
+def test_cli_usage_error_is_one_json_line(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "mollifier-demo" in capsys.readouterr().out

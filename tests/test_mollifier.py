@@ -41,6 +41,9 @@ def test_build_kernel_validation():
         build_kernel(GAUSSIAN_BUMP, 0, 0.5)
     with pytest.raises(ValueError):
         build_kernel(GAUSSIAN_BUMP, 2, 0.0)
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_kernel(GAUSSIAN_BUMP, 2, eps)
     with pytest.raises(ValueError):
         build_kernel(GAUSSIAN_BUMP, 2, 0.5, quad_points=2)
 

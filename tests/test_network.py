@@ -13,12 +13,10 @@ from prodmlp import (
     MmlpParams,
     activation_by_name,
     forward,
-    grad_params,
     init_params,
     matched_additive_width,
     pack_params,
     param_count,
-    predictor,
     unpack_params,
     weighted_grad_sum,
 )
@@ -198,14 +196,6 @@ def test_forward_rejects_wrong_width():
         forward(p, TANH, np.zeros(3))
 
 
-def test_predictor_closure():
-    rng = np.random.default_rng(5)
-    p = random_params(MmlpArch(4), rng)
-    F = predictor(p, TANH)
-    x = rng.uniform(-1, 1, size=(7, 2))
-    assert np.array_equal(F(x), forward(p, TANH, x))
-
-
 def test_multiplicative_block_is_a_product():
     # one block with alpha = 1, c = 0 must equal the product of its factors
     w = np.array([[0.7, -1.2]])
@@ -222,7 +212,12 @@ def test_multiplicative_block_is_a_product():
 # ---------------------------------------------------------------------------
 
 
-def test_grad_params_matches_finite_differences():
+def point_gradient(p, act, x):
+    """dF(x)/dtheta at one point x of shape (m,)."""
+    return weighted_grad_sum(p, act, x[None], np.ones(1))
+
+
+def test_point_gradient_matches_finite_differences():
     # sweep of random instances per architecture and activation
     rng = np.random.default_rng(6)
     tol = 1e-7
@@ -236,7 +231,7 @@ def test_grad_params_matches_finite_differences():
                 x = rng.uniform(-1.5, 1.5, size=arch.m)
                 fd = fd_gradient(lambda v: forward(unpack_params(arch, v), act, x),
                                  pack_params(p))
-                worst = max(worst, relative_error(grad_params(p, act, x), fd))
+                worst = max(worst, relative_error(point_gradient(p, act, x), fd))
             assert worst < tol, f"{arch} {act.name}: fd mismatch {worst}"
 
 
@@ -247,7 +242,7 @@ def test_grad_handles_zero_factors():
                    alpha=np.array([1.0]), c=0.0)
     x = np.array([1.0, 0.5])
     assert GAUSSIAN_BUMP.f(np.array(40.0)) == 0.0
-    g = grad_params(p, GAUSSIAN_BUMP, x)
+    g = point_gradient(p, GAUSSIAN_BUMP, x)
     assert np.all(np.isfinite(g))
     # d F / d alpha is the block product, 0 here; d F / d w_2 carries the
     # dead first factor, also 0
@@ -264,7 +259,7 @@ def test_weighted_grad_sum_is_linear_in_coefficients():
         xs = rng.uniform(-1, 1, size=(6, arch.m))
         coef = rng.normal(size=6)
         total = weighted_grad_sum(p, GAUSSIAN_BUMP, xs, coef)
-        by_hand = sum(c * grad_params(p, GAUSSIAN_BUMP, x) for c, x in zip(coef, xs))
+        by_hand = sum(c * point_gradient(p, GAUSSIAN_BUMP, x) for c, x in zip(coef, xs))
         assert np.allclose(total, by_hand, rtol=1e-12, atol=1e-14)
 
 
@@ -273,12 +268,6 @@ def test_weighted_grad_sum_coef_shape_check():
     xs = np.zeros((4, 2))
     with pytest.raises(ValueError, match="coef"):
         weighted_grad_sum(p, TANH, xs, np.ones(3))
-
-
-def test_grad_params_single_point_only():
-    p = random_params(MlpArch(3), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="single point"):
-        grad_params(p, TANH, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

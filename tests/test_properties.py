@@ -218,6 +218,45 @@ def test_l2_objective_evaluates_sigma_once_per_pre_activation(family, m, units, 
     assert sum(evaluated) == (m if family is MmlpArch else 1) * batch * units
 
 
+# equal to GAUSSIAN_BUMP but not it, so the network takes the generic sigma/sigma' path
+GENERIC_GAUSSIAN = Activation(GAUSSIAN_BUMP.name, GAUSSIAN_BUMP.f, GAUSSIAN_BUMP.df,
+                              GAUSSIAN_BUMP.df_from_f)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 4),
+       units=st.integers(1, 6), batch=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_gaussian_closed_form_matches_the_generic_path(family, m, units, batch, seed):
+    # exp(-sum_i z_i^2) against the product of the factors, and -2 z_i h against
+    # sigma'(z_i) times the other factors: each rounds its squares, sum and exp
+    # apart, so they agree to a few ulps per unit of m + units + max sum_i z_i^2
+    # of the magnitudes |alpha| h and sum_k |coef_k| |dF(x_k)|, and bitwise where
+    # no block product is formed (ridge units, m = 1)
+    assert GENERIC_GAUSSIAN == GAUSSIAN_BUMP and GENERIC_GAUSSIAN is not GAUSSIAN_BUMP
+    arch = family(units, m=m)
+    rng = np.random.default_rng(seed)
+    p = random_params(arch, rng)
+    x, y = rng.uniform(-1.5, 1.5, size=(batch, m)), rng.normal(size=batch)
+    want, (_, z, _, h) = _forward_cache(p, GENERIC_GAUSSIAN, x)
+    (want_l2,), want_grad = objective(p, GENERIC_GAUSSIAN, l2_loss(), x, y)
+    grown = {}
+    objective(p, GAUSSIAN_BUMP, l2_loss(), rng.uniform(size=(batch + 3, m)), np.ones(batch + 3),
+              buffers=grown)
+    scale = np.abs(h) @ np.abs(p.alpha) + abs(p.c)
+    per_point = np.abs([weighted_grad_sum(p, GENERIC_GAUSSIAN, xk[None], np.ones(1)) for xk in x])
+    grad_scale = (2.0 / batch) * (np.abs(want - y) + scale) @ per_point
+    tol = 2.0 * np.finfo(float).eps * (m + units + np.max(np.sum(z * z, axis=0)))
+    for buffers in (None, grown):
+        got, _ = _forward_cache(p, GAUSSIAN_BUMP, x, buffers)
+        (l2,), grad = objective(p, GAUSSIAN_BUMP, l2_loss(), x, y, buffers=buffers)
+        if family is MlpArch or m == 1:
+            assert np.array_equal(got, want) and l2 == want_l2
+            assert np.array_equal(grad, want_grad)
+        assert np.all(np.abs(got - want) <= tol * scale)
+        assert abs(l2 - want_l2) <= tol * (batch * want_l2 + 3.0 / batch * np.abs(want - y) @ scale)
+        assert np.all(np.abs(grad - want_grad) <= tol * grad_scale)
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 3),
        units=st.integers(1, 8), nx=st.integers(1, 7), ny=st.integers(1, 7),

@@ -1,5 +1,7 @@
 """Losses, Adam, the training loop, trace CSV."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from prodmlp import (
     l2_loss,
     objective,
     pack_params,
-    predictor,
     read_trace_csv,
     sample_uniform,
     sample_widened,
@@ -107,7 +108,7 @@ def test_loss_h2_matches_loop_oracle():
     p = random_params(MmlpArch(4), rng)
     x = rng.uniform(-0.9, 0.9, size=(7, 2))
     spec = LossSpec(kind="h2", lam=0.03, h=1.0 / 16.0)
-    F = predictor(p, GAUSSIAN_BUMP)
+    F = partial(forward, p, GAUSSIAN_BUMP)
     y, centers, lap_y = _data(CONE, x, spec, rng)
 
     def lap(fn, pt):
