@@ -15,9 +15,9 @@ from prodmlp import (
     MlpArch,
     MmlpArch,
     RadialCone,
-    discrete_laplacian,
     h2_loss,
     l2_loss,
+    laplacian_field,
     objective,
     pack_params,
     param_count,
@@ -48,10 +48,11 @@ for arch in (MlpArch(n=10), MmlpArch(n_b=8)):
             p = unpack_params(arch, theta)
 
             # the objective takes data: values at x, and random nodes of the
-            # loss grid as stencil centers with the target's discrete Laplacian there
-            nodes = Grid2D(spec.h).node_array()
-            centers = nodes[rng.integers(0, len(nodes), size=len(x))]
-            data = (target(x), centers, discrete_laplacian(target, centers, spec.h))
+            # loss grid as stencil centers with the target's discrete Laplacian
+            # there, read off laplacian_field as training reads it
+            grid = Grid2D(spec.h)
+            k = rng.integers(0, grid.nodes_per_axis**2, size=len(x))
+            data = (target(x), grid.node_array()[k], laplacian_field(target, grid).values.ravel()[k])
             fn = lambda t: sum(objective(unpack_params(arch, t), act, spec, x, *data)[0])
 
             _, analytic = objective(p, act, spec, x, *data)

@@ -8,7 +8,7 @@ square [-1, 1]^2.
 
 import numpy as np
 
-from prodmlp import Grid2D, MollifiedCircle, RadialCone, sample_field, write_field_csv
+from prodmlp import Grid2D, MollifiedCircle, RadialCone, ScalarField, write_field_csv
 
 circle = MollifiedCircle()
 cone = RadialCone()
@@ -30,7 +30,8 @@ for h in (1e-1, 1e-2, 1e-3):
     print(f"  h = {h:5.0e}   second difference = {d2:10.4f}")
 
 grid = Grid2D(h=1.0 / 32.0)
-field = sample_field(circle, grid)
+n = grid.nodes_per_axis
+field = ScalarField(grid=grid, values=circle(grid.node_array()).reshape(n, n))
 write_field_csv(field, "circle_field.csv")
 print(f"\nwrote the circle on a {grid.nodes_per_axis}x{grid.nodes_per_axis} "
       "grid to circle_field.csv")

@@ -13,10 +13,8 @@ experiment harness with a CLI.
 from .fdgrid import (
     Grid2D,
     ScalarField,
-    discrete_laplacian,
     laplacian_field,
     read_field_csv,
-    sample_field,
     write_field_csv,
 )
 from .harness import (

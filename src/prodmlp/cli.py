@@ -65,19 +65,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _grid_h(value: str | None) -> float | None:
-    """The --grid spacing, parsed and checked like a config's grid_h."""
-    return None if value is None else _parse_grid(value, "--grid").h
-
-
 def _cmd_eval(args) -> int:
-    summary = eval_checkpoint(args.checkpoint, grid_h=_grid_h(args.grid))
+    grid = None if args.grid is None else _parse_grid(args.grid, "--grid")
+    summary = eval_checkpoint(args.checkpoint, grid=grid)
     print(json.dumps(summary, indent=2))
     return 0
 
 
 def _cmd_export_field(args) -> int:
-    out = export_field(args.checkpoint, args.out, grid_h=_grid_h(args.grid))
+    grid = None if args.grid is None else _parse_grid(args.grid, "--grid")
+    out = export_field(args.checkpoint, args.out, grid=grid)
     print(str(out))
     return 0
 

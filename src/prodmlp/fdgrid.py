@@ -20,9 +20,8 @@ import numpy as np
 __all__ = [
     "Grid2D",
     "ScalarField",
-    "sample_field",
     "laplacian_stencil",
-    "discrete_laplacian",
+    "grid_laplacian",
     "laplacian_field",
     "write_field_csv",
     "read_field_csv",
@@ -63,9 +62,9 @@ class Grid2D:
         """Node coordinates -1 + i*h for -widen <= i <= M + widen, exact for dyadic h."""
         return -1.0 + self.h * np.arange(-widen, self.nodes_per_axis + widen)
 
-    def node_array(self) -> np.ndarray:
-        """All nodes as (nodes_per_axis**2, 2), x-index outermost."""
-        ax = self.axis()
+    def node_array(self, widen: int = 0) -> np.ndarray:
+        """The nodes of axis(widen) x axis(widen) as a (k, 2) point list, x-index outermost."""
+        ax = self.axis(widen)
         return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
@@ -85,50 +84,28 @@ class ScalarField:
             )
 
 
-def sample_field(fn, grid: Grid2D) -> ScalarField:
-    """Evaluate a callable on every node."""
-    n = grid.nodes_per_axis
-    vals = np.asarray(fn(grid.node_array()), dtype=float).reshape(n, n)
-    return ScalarField(grid=grid, values=vals)
-
-
 def laplacian_stencil(h: float):
-    """Offsets (5, 2) and matching coefficients (5,) of the 5-point Laplacian."""
-    h = float(h)
-    offsets = np.array(
-        [[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]]
-    )
-    coeffs = np.array([-4.0, 1.0, 1.0, 1.0, 1.0]) / h**2
-    return offsets, coeffs
+    """Node shifts (5, 2) and matching coefficients (5,) of the 5-point Laplacian at spacing h."""
+    shifts = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.intp)
+    return shifts, np.array([-4.0, 1.0, 1.0, 1.0, 1.0]) / float(h) ** 2
 
 
-def discrete_laplacian(fn, x: np.ndarray, h: float):
-    """5-point discrete Laplacian of fn at x, spacing h.
-
-    (fn(x+h e1) + fn(x-h e1) + fn(x+h e2) + fn(x-h e2) - 4 fn(x)) / h^2,
-    evaluated directly wherever the stencil lands.  Exact on polynomials of
-    per-coordinate degree <= 3.  x may be a single point (2,) or a batch
-    (k, 2).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    offsets, coeffs = laplacian_stencil(h)
-    pts = (xb[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
-    vals = np.asarray(fn(pts), dtype=float).reshape(5, -1)
-    out = coeffs @ vals
-    return float(out[0]) if single else out
+def grid_laplacian(wide: np.ndarray, h: float, margin: int = 1) -> np.ndarray:
+    """The 5-point Laplacian at the nodes of a grid of spacing h, from an array of values
+    on that grid widened by margin >= 1 nodes per side: the stencil's coefficients times
+    the shifted node blocks, summed in stencil order.  Exact on per-coordinate cubics."""
+    n = len(wide) - 2 * margin
+    shifts, coeffs = laplacian_stencil(h)
+    return sum(c * wide[margin + i : margin + i + n, margin + j : margin + j + n]
+               for (i, j), c in zip(shifts, coeffs))
 
 
 def laplacian_field(fn, grid: Grid2D) -> ScalarField:
-    """Discrete Laplacian of fn on every node, spacing grid.h, each value discrete_laplacian's
-    coeffs @ vals; fn is evaluated once per node of the grid widened by one, row by row."""
-    n, u = grid.nodes_per_axis, grid.axis(1)
-    v = np.array([fn(np.column_stack([np.full_like(u, a), u])) for a in u], dtype=float)
-    coeffs = laplacian_stencil(grid.h)[1]
-    lap = [coeffs @ np.stack([v[i, 1:-1], v[i + 1, 1:-1], v[i - 1, 1:-1], v[i, 2:], v[i, :-2]])
-           for i in range(1, n + 1)]
-    return ScalarField(grid=grid, values=np.array(lap))
+    """Discrete Laplacian of fn on every node, spacing grid.h, from one evaluation of fn
+    on the nodes of the grid widened by one."""
+    side = grid.nodes_per_axis + 2
+    wide = np.asarray(fn(grid.node_array(1)), dtype=float).reshape(side, side)
+    return ScalarField(grid=grid, values=grid_laplacian(wide, grid.h))
 
 
 # ---------------------------------------------------------------------------

@@ -576,8 +576,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 **head,
                 "status": "ok",
                 "iterations": tc.iterations,
-                "initial": {"l2_error": first.l2_error, "h2_error": first.h2_error,
-                            "zygmund_error": first.zygmund_error},
+                "initial": _metric_dict(first),
                 "final": final,
                 "singular_region": region_desc,
                 "near_zero_factor_weights": near_zero_factor_weights(result.params),
@@ -710,13 +709,11 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def _metrics_override(cfg: ExperimentConfig, grid_h: float | None) -> MetricConfig:
-    if grid_h is None:
-        return cfg.metrics
-    return replace(cfg.metrics, grid=_parse_grid(grid_h, "grid_h"))
+def _metrics_override(cfg: ExperimentConfig, grid: Grid2D | None) -> MetricConfig:
+    return cfg.metrics if grid is None else replace(cfg.metrics, grid=grid)
 
 
-def eval_checkpoint(path, grid_h: float | None = None) -> dict:
+def eval_checkpoint(path, grid: Grid2D | None = None) -> dict:
     """Recompute the final summary metrics of a stored checkpoint.
 
     With no grid override this reproduces the run summary's "final" block
@@ -724,7 +721,7 @@ def eval_checkpoint(path, grid_h: float | None = None) -> dict:
     config's, must be split by the target's singular region.
     """
     ck = load_checkpoint(path)
-    mc = _metrics_override(ck.config, grid_h)
+    mc = _metrics_override(ck.config, grid)
     _check_region(ck.config.target, mc.grid, "grid_h")
     err = _widened_error(ck.params, ck.activation, ck.config.target, mc)
     out, region_desc, _ = _final_summary(err, ck.config.target, mc)
@@ -733,11 +730,11 @@ def eval_checkpoint(path, grid_h: float | None = None) -> dict:
             "config_digest": ck.config.digest}
 
 
-def export_field(path, out_path, grid_h: float | None = None) -> Path:
+def export_field(path, out_path, grid: Grid2D | None = None) -> Path:
     """Write the |F - f| error field of a checkpoint to a CSV file; on the
     config's own grid its bytes are those of the run's error-field CSV."""
     ck = load_checkpoint(path)
-    mc = _metrics_override(ck.config, grid_h)
+    mc = _metrics_override(ck.config, grid)
     err = _widened_error(ck.params, ck.activation, ck.config.target, mc)
     efield = node_error_field(err, mc)
     out_path = Path(out_path)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdgrid import Grid2D, ScalarField, laplacian_stencil
+from .fdgrid import Grid2D, ScalarField, grid_laplacian
 
 __all__ = [
     "ZygmundSpec",
@@ -143,9 +143,8 @@ def widened_axis(mc: MetricConfig) -> np.ndarray:
 
 def sample_widened(u, mc: MetricConfig) -> np.ndarray:
     """A vectorized callable u of points (k, 2), sampled on the widened grid."""
-    ax = widened_axis(mc)
-    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
-    return np.asarray(u(pts), dtype=float).reshape(len(ax), len(ax))
+    side = len(widened_axis(mc))
+    return np.asarray(u(mc.grid.node_array(mc.zygmund.k_max)), dtype=float).reshape(side, side)
 
 
 def _blocks(err: np.ndarray, mc: MetricConfig):
@@ -164,13 +163,12 @@ def node_error_field(err: np.ndarray, mc: MetricConfig) -> ScalarField:
 
 def approximation_report(err: np.ndarray, mc: MetricConfig) -> MetricReport:
     """L2, H^2-type and Zygmund errors from the widened F - f array: L2 from
-    the node block, the Laplacian mismatch from five shifted blocks weighted
-    by the 5-point stencil, and the Zygmund entry, the seminorm of the error
+    the node block, the Laplacian mismatch from fdgrid.grid_laplacian with
+    the Zygmund margin, and the Zygmund entry, the seminorm of the error
     function F - f, from the increment blocks."""
     block = _blocks(err, mc)
     grid, spec = mc.grid, mc.zygmund
-    offsets, coeffs = laplacian_stencil(grid.h)
-    lap = sum(c * block(*np.rint(o / grid.h).astype(int)) for o, c in zip(offsets, coeffs))
+    lap = grid_laplacian(err, grid.h, spec.k_max)
     sq, lap_sq = float(np.mean(block() ** 2)), float(np.mean(lap**2))
 
     best = 0.0

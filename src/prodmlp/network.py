@@ -350,8 +350,8 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
     on the axis widened by one node, lap_h F is the GEMM [D_x | V_x] alpha [V_y | D_y]^T
     of the factors' values V and second differences D at the nodes, and the vjp spreads
     its weights by the stencil over the widened grid, where F - c = (S_x alpha) S_y^T."""
-    offsets, coeffs = laplacian_stencil(h)
-    pts = nodes[None] + np.rint(offsets / h).astype(np.intp)[:, None]    # (5, k, 2)
+    shifts, coeffs = laplacian_stencil(h)
+    pts = nodes[None] + shifts[:, None]                         # (5, k, 2)
     u = Grid2D(h).axis(1)
     if isinstance(p, MlpParams):
         return _values_vjp(p, act, u[pts + 1].reshape(-1, 2), coeffs, buffers)

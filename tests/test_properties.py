@@ -121,8 +121,8 @@ def test_laplacian_term_matches_the_stacked_stencil(family, units, batch, k, act
     (_, lap), grad = objective(p, act, spec, x, y, centers, lap_y)
     _, l2_grad = objective(p, act, l2_loss(), x, y)
 
-    offsets, coeffs = laplacian_stencil(h)
-    pts = (centers[None] + offsets[:, None]).reshape(-1, 2)
+    shifts, coeffs = laplacian_stencil(h)
+    pts = (centers[None] + h * shifts[:, None]).reshape(-1, 2)
     r = coeffs @ forward(p, act, pts).reshape(5, -1) - lap_y
     want = spec.lam * np.mean(r * r)
     want_grad = weighted_grad_sum(p, act, pts,

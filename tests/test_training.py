@@ -20,12 +20,12 @@ from prodmlp import (
     ZygmundSpec,
     adam_step,
     approximation_report,
-    discrete_laplacian,
     forward,
     grid_values,
     h2_loss,
     init_params,
     l2_loss,
+    laplacian_field,
     objective,
     pack_params,
     read_trace_csv,
@@ -68,10 +68,10 @@ def test_loss_spec_validation():
 def _data(target, x, spec, rng):
     """The objective's data for a target: values at x, and len(x) random nodes
     of the loss grid as stencil centers with the target's discrete Laplacian
-    there."""
-    nodes = Grid2D(spec.h).node_array()
-    centers = nodes[rng.integers(0, len(nodes), size=len(x))]
-    return target(x), centers, discrete_laplacian(target, centers, spec.h)
+    there, read off laplacian_field as train reads it."""
+    grid = Grid2D(spec.h)
+    k = rng.integers(0, grid.nodes_per_axis**2, size=len(x))
+    return target(x), grid.node_array()[k], laplacian_field(target, grid).values.ravel()[k]
 
 
 def test_loss_l2_matches_loop_oracle():
