@@ -23,10 +23,19 @@ Flat parameter layout (used by the optimizer and by checkpoints):
 
     additive:       [w row-major (n, m) | b (n) | alpha (n) | c]
     multiplicative: [w row-major (n_b, m) | b row-major (n_b, m) | alpha (n_b) | c]
+
+On a batch both families are planes of an [x | 1] stack against a [w; b]
+stack: one plane of m + 1 coordinates for ridge units, m planes of 2 for
+product blocks.  With the gaussian activation the log of every hidden feature
+is minus the sum over planes of a squared dot product, a quadratic form in the
+[x | 1] stack, so the hidden layer is exp(Phi @ Q) with Phi the quadratic
+monomials of the stack and Q their coefficients: one GEMM in, and the
+parameter gradient one GEMM out.  Any other activation takes the generic path
+through sigma and sigma' of the pre-activations.
 """
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -249,10 +258,10 @@ def _work(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
     return buffers[key][..., : shape[-2], :]
 
 
-def _planes(p: NetworkParams, xb: np.ndarray, buffers=None):
-    """The [x | 1] stack xz and sigma's argument z = xz @ [w; b] on a batch: one
-    GEMM (batch, m + 1) @ (m + 1, n) for ridge units, one batched GEMM
-    (m, batch, 2) @ (m, 2, n_b) of contiguous per-coordinate planes for product
+def _stacks(p: NetworkParams, xb: np.ndarray, buffers=None):
+    """The [x | 1] stack xz and the [w; b] stack wb on a batch, whose product is
+    sigma's argument z = xz @ wb: (batch, m + 1) and (m + 1, n) for ridge units,
+    m contiguous per-coordinate planes (m, batch, 2) and (m, 2, n_b) for product
     blocks."""
     rows, m = xb.shape
     if isinstance(p, MlpParams):
@@ -268,7 +277,50 @@ def _planes(p: NetworkParams, xb: np.ndarray, buffers=None):
     else:
         raise TypeError(f"not a parameter container: {p!r}")
     xz[..., -1] = 1.0
+    return xz, wb
+
+
+def _planes(p: NetworkParams, xb: np.ndarray, buffers=None):
+    """_stacks' [x | 1] stack xz and z = xz @ wb: one GEMM for ridge units, one
+    batched GEMM for product blocks."""
+    xz, wb = _stacks(p, xb, buffers)
     return xz, np.matmul(xz, wb, out=_work(buffers, "z", (*xz.shape[:-1], wb.shape[-1])))
+
+
+@cache
+def _monomials(planes: int, d: int):
+    """The feature layout of Phi for planes of d-coordinate [x | 1] stacks x~: the
+    index pairs ia <= ib of a plane's monomials x~_a x~_b without the 1 * 1, which
+    all planes share, their factors -(2 - delta_ab) in Q, and the (planes, d, d)
+    feature of each x~_a x~_b: each plane's pairs in turn, then the shared 1 * 1.
+    Read-only arrays, built once per shape."""
+    ia, ib = (i[:-1] for i in np.triu_indices(d))
+    k = len(ia)
+    feature = np.full((planes, d, d), planes * k)
+    feature[:, ia, ib] = feature[:, ib, ia] = np.arange(planes)[:, None] * k + np.arange(k)
+    layout = ia, ib, np.where(ia == ib, -1.0, -2.0)[:, None], feature
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def _quadratic_form(xz: np.ndarray, wb: np.ndarray, buffers=None):
+    """The gaussian's exponent -sum over planes of (x~ . v~)^2, for planes of [x | 1]
+    stacks xz (planes, rows, d) and [w; b] stacks wb (planes, d, units), as one GEMM
+    Phi @ Q: Phi (rows, features) holds the monomials x~_a x~_b (a <= b) and Q
+    (features, units) their coefficients -(2 - delta_ab) v~_a v~_b, summed over the
+    planes for the shared 1 * 1."""
+    planes, rows, d = xz.shape
+    ia, ib, factor, feature = _monomials(planes, d)
+    k = len(ia)
+    phi = _work(buffers, "phi", (rows, planes * k + 1))
+    q = _work(buffers, "Q", (planes * k + 1, wb.shape[-1]))
+    xr = xz.transpose(1, 0, 2)                              # (rows, planes, d)
+    phi[:, :-1] = (xr[..., ia] * xr[..., ib]).reshape(rows, -1)
+    np.multiply(wb[:, ia] * wb[:, ib], factor, out=q[:-1].reshape(planes, k, -1))
+    phi[:, -1] = 1.0
+    np.negative(np.square(wb[:, -1]).sum(axis=0), out=q[-1])
+    return phi, q
 
 
 def _flat_grad(p: NetworkParams, g: np.ndarray, d_alpha, d_c) -> np.ndarray:
@@ -282,25 +334,28 @@ def _forward_cache(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=No
 
     The cache (xz, z, s, h) holds _planes' [x | 1] stack and pre-activations,
     the activations s, and the (batch, units) hidden features that alpha weighs:
-    h = s for ridge units, the block products for product blocks.  A block of
-    gaussian factors is one gaussian, prod_i exp(-z_i^2) = exp(-sum_i z_i^2), so
-    its h is one exponential of the summed squared planes and s is never formed
-    (None).  _weighted_grad_cached reuses the cache, so a step evaluates each
+    h = s for ridge units, the block products for product blocks.  For the
+    gaussian, h = exp(Phi @ Q) (_quadratic_form) takes one GEMM and one
+    exponential per sample and unit, and the cache holds (Phi, [w; b] planes,
+    None, h): no pre-activation, factor or block product is formed.
+    _weighted_grad_cached reuses the cache, so a step evaluates each
     transcendental once, in a buffer set's arrays if given.
     """
-    xz, z = _planes(p, xb, buffers)
-    if isinstance(p, MmlpParams) and act is GAUSSIAN_BUMP:
-        s, h = None, np.square(z[0], out=_work(buffers, "h", z[0].shape))
-        for zi in z[1:]:
-            h += np.square(zi, out=_work(buffers, "t", h.shape))
-        np.exp(np.negative(h, out=h), out=h)
-    else:
-        s = act.f(z, out=_work(buffers, "s", z.shape))
+    if act is GAUSSIAN_BUMP:
+        xz, wb = _stacks(p, xb, buffers)
         if isinstance(p, MlpParams):
-            h = s
-        else:
-            h = s[0] if len(s) == 1 else reduce(
-                partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
+            xz, wb = xz[None], wb[None]
+        phi, q = _quadratic_form(xz, wb, buffers)
+        h = np.matmul(phi, q, out=_work(buffers, "h", (len(xb), q.shape[1])))
+        np.exp(h, out=h)
+        return h @ p.alpha + p.c, (phi, wb, None, h)
+    xz, z = _planes(p, xb, buffers)
+    s = act.f(z, out=_work(buffers, "s", z.shape))
+    if isinstance(p, MlpParams):
+        h = s
+    else:
+        h = s[0] if len(s) == 1 else reduce(
+            partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
     return h @ p.alpha + p.c, (xz, z, s, h)
 
 
@@ -309,31 +364,32 @@ def _weighted_grad_cached(p: NetworkParams, act: Activation, coef: np.ndarray,
     """coef @ dF/dtheta over the cached batch.  dF/d[w; b] is [x | 1]^T sigma'(z)
     alpha per sample, so per plane one GEMM of C = coef [x | 1] against sigma'(z),
     times the plane's leave-one-out product for product blocks, reduces the batch,
-    and alpha scales the small (., units) result.  For the gaussian that factor is
-    -2 z_i h (ridge units: h = s), so it takes one pass per plane and the exact
-    -2 joins alpha."""
+    and alpha scales the small (., units) result.  For the gaussian one GEMM
+    G = (coef Phi)^T h reduces the batch for all planes: with G_ab the row of the
+    monomial x~_a x~_b, read symmetrically in a and b, a plane's [w; b] stack v~
+    gets d/dv~_a = -2 alpha sum_b G_ab v~_b, and d/dalpha is the 1 * 1 row."""
     xz, z, s, h = cache
     c = np.multiply(xz, coef[:, None], out=_work(buffers, "C", xz.shape))
     ridge = isinstance(p, MlpParams)
+    if act is GAUSSIAN_BUMP:                                # xz is Phi, z the [w; b] planes
+        g = c.T @ h
+        gv = np.einsum("pabj,pbj->paj", g[_monomials(*z.shape[:2])[3]], z)
+        gv *= -2.0 * p.alpha
+        return _flat_grad(p, gv[0] if ridge else gv, g[-1], coef.sum())
     if ridge:
         c, z, s = c[None], z[None], s[None]
     m = len(z)
     g = np.empty((m, c.shape[-1], len(p.alpha)))
     t = _work(buffers, "t", h.shape)
-    if act is GAUSSIAN_BUMP:
-        for i in range(m):
-            np.matmul(c[i].T, np.multiply(z[i], h, out=t), out=g[i])
-        g *= -2.0 * p.alpha
-    else:
-        # a plain leave-one-out product with no division, so factors that are
-        # exactly zero stay exact
-        loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
-        for i in range(m):
-            act.df_from_f(z[i], s[i], out=t)
-            if m > 1:
-                t *= reduce(loo, [s[j] for j in range(m) if j != i])
-            np.matmul(c[i].T, t, out=g[i])
-        g *= p.alpha
+    # a plain leave-one-out product with no division, so factors that are
+    # exactly zero stay exact
+    loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
+    for i in range(m):
+        act.df_from_f(z[i], s[i], out=t)
+        if m > 1:
+            t *= reduce(loo, [s[j] for j in range(m) if j != i])
+        np.matmul(c[i].T, t, out=g[i])
+    g *= p.alpha
     return _flat_grad(p, g[0] if ridge else g, coef @ h, coef.sum())
 
 

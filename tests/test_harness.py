@@ -552,6 +552,7 @@ def test_cli_run_eval_export(tmp_path, capsys):
     assert main(["eval", str(ck), "--grid", "2"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and "singular region" in err["message"]
+    assert err["message"].startswith("--grid:")
     assert main(["export-field", str(ck), "--out", str(dest), "--grid", "2"]) == 0
     capsys.readouterr()
     assert read_field_csv(dest).grid.h == 2.0

@@ -25,6 +25,7 @@ from prodmlp import (
     LossSpec,
     MetricConfig,
     MlpArch,
+    MlpParams,
     MmlpArch,
     MollifiedCircle,
     RadialCone,
@@ -223,38 +224,111 @@ GENERIC_GAUSSIAN = Activation(GAUSSIAN_BUMP.name, GAUSSIAN_BUMP.f, GAUSSIAN_BUMP
                               GAUSSIAN_BUMP.df_from_f)
 
 
+UNDERFLOW = np.finfo(float).smallest_normal
+
+
+def gaussian_rounding(p, x):
+    """The gaussian network's direct formula in np.longdouble, with the rounding
+    budget of either float64 path (exp(Phi @ Q), or the generic product of
+    sigma(z) factors) against it, to first order in u = eps / 2.
+
+    Each plane of a point x_k and unit j has an [x | 1] stack x~ and a [w; b]
+    stack v~, with z = x~ . v~ and A = sum_a |x~_a v~_a|; Lambda = sum over planes
+    of A^2 is the magnitude of the expanded terms (2 - delta_ab) x~_a x~_b v~_a v~_b
+    of the exponent, which bounds sum z^2 too.  Returns F(x_k), the per-point flat
+    gradients dF(x_k)/dtheta, the bound on |F^ - F| per point, and the per-point
+    gradient magnitudes (|z| replaced by A) and their relative rounding, whose
+    coefficient-weighted sum bounds the error of sum_k coef_k dF(x_k)/dtheta.
+
+    Rounding per point and unit, for P planes of d coordinates:
+    * the exponent: P d (d + 1) / 2 expanded terms of up to three roundings each
+      (monomial, coefficient, product), summed: (P d (d + 1) / 2 + 2) u Lambda,
+      which also covers the generic path's squared dot products, (2 d + 1) u Lambda;
+    * h: P evaluations of exp within one ulp (2 u each) and P - 1 products, 3 P u;
+    * F = h @ alpha + c: (units + 1) u of sum_j |alpha_j h_j| + |c|;
+    * a gradient entry, relative to its magnitude: h's, plus the batch sum and up
+      to d + P + 3 roundings in forming and scaling each term.
+    Below the normal range an operation errs by up to u * smallest_normal instead
+    (gradual underflow); with far fewer than 1 / u operations and factors of this
+    size, that adds less than UNDERFLOW to any result.
+    """
+    ld = np.longdouble
+    ridge = isinstance(p, MlpParams)
+    batch, m = x.shape
+    ones = np.ones_like(x[:, :1])
+    if ridge:
+        xt = np.concatenate([x, ones], axis=1)[:, None]
+        vt = np.concatenate([p.w, p.b[:, None]], axis=1)[:, None]
+    else:
+        xt, vt = np.stack([x, np.broadcast_to(ones, x.shape)], axis=-1), np.stack([p.w, p.b], axis=-1)
+    planes, d = xt.shape[1:]
+    terms = xt.astype(ld)[:, None] * vt.astype(ld)                  # (batch, units, planes, d)
+    z, a = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+    h = np.exp(-np.sum(z * z, axis=-1))                             # (batch, units)
+    alpha = p.alpha.astype(ld)
+
+    def flat(dv, d_alpha, d_c):                                     # dv (batch, units, planes, d)
+        return np.concatenate([dv[..., :-1].reshape(batch, -1), dv[..., -1].reshape(batch, -1),
+                               d_alpha, np.full((batch, 1), d_c, dtype=ld)], axis=1)
+
+    u = np.finfo(float).eps / 2
+    theta = u * ((planes * d * (d + 1) // 2 + 2) * np.sum(a * a, axis=-1) + 3 * planes)
+    weighed = np.abs(alpha) * h
+    f_bound = np.sum(weighed * theta, axis=1) + (len(alpha) + 1) * u * (weighed.sum(axis=1) + abs(p.c))
+    per_unit = (theta + (batch + d + planes + 3) * u)[..., None, None]
+    return (h @ alpha + p.c, flat((alpha * h * -2.0)[..., None, None] * z[..., None] * xt[:, None], h, 1.0),
+            f_bound.astype(float) + UNDERFLOW,
+            flat(2.0 * weighed[..., None, None] * a[..., None] * np.abs(xt[:, None]), h, 1.0).astype(float),
+            flat(np.broadcast_to(per_unit, terms.shape), theta + (batch + d + planes + 3) * u,
+                 batch * u).astype(float))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 4),
+       units=st.integers(1, 6), batch=st.integers(1, 9), scale=st.sampled_from((1.0, 10.0)),
+       act=st.sampled_from((GAUSSIAN_BUMP, GENERIC_GAUSSIAN)), seed=st.integers(0, 2**32 - 1))
+def test_gaussian_paths_stay_within_their_rounding_bound(family, m, units, batch, scale, act, seed):
+    # the oracle: the direct formula in np.longdouble, whose own rounding is
+    # 2^-11 of float64's
+    rng = np.random.default_rng(seed)
+    p = random_params(family(units, m=m), rng, scale=scale)
+    x, coef = rng.uniform(-1.5, 1.5, size=(batch, m)), rng.normal(size=batch)
+    exact, grads, f_bound, magnitude, rounding = gaussian_rounding(p, x)
+    assert np.all(np.abs(forward(p, act, x) - exact) <= f_bound)
+    assert np.all(np.abs(weighted_grad_sum(p, act, x, coef) - coef @ grads)
+                  <= np.abs(coef) @ (magnitude * rounding) + UNDERFLOW)
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 4),
        units=st.integers(1, 6), batch=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
 def test_gaussian_closed_form_matches_the_generic_path(family, m, units, batch, seed):
-    # exp(-sum_i z_i^2) against the product of the factors, and -2 z_i h against
-    # sigma'(z_i) times the other factors: each rounds its squares, sum and exp
-    # apart, so they agree to a few ulps per unit of m + units + max sum_i z_i^2
-    # of the magnitudes |alpha| h and sum_k |coef_k| |dF(x_k)|, and bitwise where
-    # no block product is formed (ridge units, m = 1)
+    # exp(Phi @ Q) against the product of the factors, and (coef Phi)^T h against
+    # sigma'(z_i) times the other factors: both round within gaussian_rounding's
+    # budget of the exact values, so they differ by at most twice it, carried
+    # through the residual r = F - y of the l2 objective, whose gradient weighs
+    # the points by 2 r / batch
     assert GENERIC_GAUSSIAN == GAUSSIAN_BUMP and GENERIC_GAUSSIAN is not GAUSSIAN_BUMP
     arch = family(units, m=m)
     rng = np.random.default_rng(seed)
     p = random_params(arch, rng)
     x, y = rng.uniform(-1.5, 1.5, size=(batch, m)), rng.normal(size=batch)
-    want, (_, z, _, h) = _forward_cache(p, GENERIC_GAUSSIAN, x)
+    want, _ = _forward_cache(p, GENERIC_GAUSSIAN, x)
     (want_l2,), want_grad = objective(p, GENERIC_GAUSSIAN, l2_loss(), x, y)
     grown = {}
     objective(p, GAUSSIAN_BUMP, l2_loss(), rng.uniform(size=(batch + 3, m)), np.ones(batch + 3),
               buffers=grown)
-    scale = np.abs(h) @ np.abs(p.alpha) + abs(p.c)
-    per_point = np.abs([weighted_grad_sum(p, GENERIC_GAUSSIAN, xk[None], np.ones(1)) for xk in x])
-    grad_scale = (2.0 / batch) * (np.abs(want - y) + scale) @ per_point
-    tol = 2.0 * np.finfo(float).eps * (m + units + np.max(np.sum(z * z, axis=0)))
+    _, _, f_bound, magnitude, rounding = gaussian_rounding(p, x)
+    u, r = np.finfo(float).eps / 2, np.abs(want - y)
+    dr = 2.0 * f_bound + 2.0 * u * r                     # r's difference, rounding of F - y included
+    l2_tol = 2.0 / batch * r @ dr + 2.0 * (batch + 1) * u * want_l2
+    grad_tol = 2.0 / batch * ((dr + 2.0 * u * r) @ magnitude + 2.0 * r @ (magnitude * rounding)) + UNDERFLOW
     for buffers in (None, grown):
         got, _ = _forward_cache(p, GAUSSIAN_BUMP, x, buffers)
         (l2,), grad = objective(p, GAUSSIAN_BUMP, l2_loss(), x, y, buffers=buffers)
-        if family is MlpArch or m == 1:
-            assert np.array_equal(got, want) and l2 == want_l2
-            assert np.array_equal(grad, want_grad)
-        assert np.all(np.abs(got - want) <= tol * scale)
-        assert abs(l2 - want_l2) <= tol * (batch * want_l2 + 3.0 / batch * np.abs(want - y) @ scale)
-        assert np.all(np.abs(grad - want_grad) <= tol * grad_scale)
+        assert np.all(np.abs(got - want) <= 2.0 * f_bound)
+        assert abs(l2 - want_l2) <= l2_tol
+        assert np.all(np.abs(grad - want_grad) <= grad_tol)
 
 
 @settings(derandomize=True, database=None, deadline=None)
