@@ -718,11 +718,13 @@ def eval_checkpoint(path, grid: Grid2D | None = None) -> dict:
 
     With no grid override this reproduces the run summary's "final" block
     exactly (same code path, same inputs).  An override grid (the CLI's
-    --grid), like the config's, must be split by the target's singular region.
+    --grid) must be split by the target's singular region, as parse_config
+    already requires of the config's own grid.
     """
     ck = load_checkpoint(path)
     mc = _metrics_override(ck.config, grid)
-    _check_region(ck.config.target, mc.grid, "grid_h" if grid is None else "--grid")
+    if grid is not None:
+        _check_region(ck.config.target, grid, "--grid")
     err = _widened_error(ck.params, ck.activation, ck.config.target, mc)
     out, region_desc, _ = _final_summary(err, ck.config.target, mc)
     return {"run_id": ck.run_id, "iteration": ck.iteration, "seed": ck.seed,

@@ -31,11 +31,14 @@ is minus the sum over planes of a squared dot product, a quadratic form in the
 [x | 1] stack, so the hidden layer is exp(Phi @ Q) with Phi the quadratic
 monomials of the stack and Q their coefficients: one GEMM in, and the
 parameter gradient one GEMM out.  Any other activation takes the generic path
-through sigma and sigma' of the pre-activations.
+through sigma and sigma' of the pre-activations.  Phi, or the stack itself, is
+a batch's parameter-free features: it depends on the points alone, so training
+builds it once for its sample pool and gathers each batch's rows.
 """
 
 from dataclasses import dataclass
 from functools import cache, partial, reduce
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -258,33 +261,40 @@ def _work(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
     return buffers[key][..., : shape[-2], :]
 
 
-def _stacks(p: NetworkParams, xb: np.ndarray, buffers=None):
-    """The [x | 1] stack xz and the [w; b] stack wb on a batch, whose product is
-    sigma's argument z = xz @ wb: (batch, m + 1) and (m + 1, n) for ridge units,
-    m contiguous per-coordinate planes (m, batch, 2) and (m, 2, n_b) for product
-    blocks."""
+def _stack(p: NetworkParams, xb: np.ndarray, buffers=None) -> np.ndarray:
+    """The [x | 1] stack of a batch: (batch, m + 1) for ridge units, m contiguous
+    per-coordinate planes (m, batch, 2) for product blocks."""
     rows, m = xb.shape
     if isinstance(p, MlpParams):
         xz = _work(buffers, "x1", (rows, m + 1))
         xz[:, :m] = xb
-        wb = _work(buffers, "wb", (m + 1, len(p.alpha)))
-        wb[:m], wb[m] = p.w.T, p.b
-    elif isinstance(p, MmlpParams):
+    else:
         xz = _work(buffers, "x1", (m, rows, 2))
         xz[..., 0] = xb.T
-        wb = _work(buffers, "wb", (m, 2, len(p.alpha)))
+    xz[..., -1] = 1.0
+    return xz
+
+
+def _weights(p: NetworkParams, buffers=None) -> np.ndarray:
+    """The [w; b] stack wb whose product with _stack's is sigma's argument z:
+    (m + 1, n) for ridge units, m planes (m, 2, n_b) for product blocks."""
+    n, m = p.w.shape
+    if isinstance(p, MlpParams):
+        wb = _work(buffers, "wb", (m + 1, n))
+        wb[:m], wb[m] = p.w.T, p.b
+    elif isinstance(p, MmlpParams):
+        wb = _work(buffers, "wb", (m, 2, n))
         wb[:, 0], wb[:, 1] = p.w.T, p.b.T
     else:
         raise TypeError(f"not a parameter container: {p!r}")
-    xz[..., -1] = 1.0
-    return xz, wb
+    return wb
 
 
-def _planes(p: NetworkParams, xb: np.ndarray, buffers=None):
-    """_stacks' [x | 1] stack xz and z = xz @ wb: one GEMM for ridge units, one
-    batched GEMM for product blocks."""
-    xz, wb = _stacks(p, xb, buffers)
-    return xz, np.matmul(xz, wb, out=_work(buffers, "z", (*xz.shape[:-1], wb.shape[-1])))
+def _preactivations(p: NetworkParams, xz: np.ndarray, buffers=None) -> np.ndarray:
+    """z = xz @ wb for an [x | 1] stack xz: one GEMM for ridge units, one batched
+    GEMM for product blocks."""
+    wb = _weights(p, buffers)
+    return np.matmul(xz, wb, out=_work(buffers, "z", (*xz.shape[:-1], wb.shape[-1])))
 
 
 @cache
@@ -304,23 +314,41 @@ def _monomials(planes: int, d: int):
     return layout
 
 
-def _quadratic_form(xz: np.ndarray, wb: np.ndarray, buffers=None):
-    """The gaussian's exponent -sum over planes of (x~ . v~)^2, for planes of [x | 1]
-    stacks xz (planes, rows, d) and [w; b] stacks wb (planes, d, units), as one GEMM
-    Phi @ Q: Phi (rows, features) holds the monomials x~_a x~_b (a <= b) and Q
-    (features, units) their coefficients -(2 - delta_ab) v~_a v~_b, summed over the
-    planes for the shared 1 * 1."""
-    planes, rows, d = xz.shape
-    ia, ib, factor, feature = _monomials(planes, d)
-    k = len(ia)
-    phi = _work(buffers, "phi", (rows, planes * k + 1))
-    q = _work(buffers, "Q", (planes * k + 1, wb.shape[-1]))
-    xr = xz.transpose(1, 0, 2)                              # (rows, planes, d)
-    phi[:, :-1] = (xr[..., ia] * xr[..., ib]).reshape(rows, -1)
-    np.multiply(wb[:, ia] * wb[:, ib], factor, out=q[:-1].reshape(planes, k, -1))
+def _features(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None) -> np.ndarray:
+    """A batch's parameter-free features, which _forward_cache consumes.  For the
+    gaussian, Phi (batch, features): the monomials x~_a x~_b of each plane's
+    [x | 1] stack x~ in _monomials' layout, then the shared 1 * 1, filled column
+    by column from x with no batch-sized temporary, so that train can build Phi
+    once for its whole sample pool.  For any other activation, _stack's stack."""
+    if act is not GAUSSIAN_BUMP:
+        return _stack(p, xb, buffers)
+    rows, m = xb.shape
+    ridge = isinstance(p, MlpParams)
+    planes, d = (1, m + 1) if ridge else (m, 2)
+    ia, ib, _, _ = _monomials(planes, d)
+    phi = _work(buffers, "phi", (rows, planes * len(ia) + 1))
+    for col, (i, (a, b)) in enumerate(product(range(planes), zip(ia, ib))):
+        xa = xb[:, a if ridge else i]                       # a < d - 1: no 1 * 1 here
+        if b < d - 1:
+            np.multiply(xa, xb[:, b if ridge else i], out=phi[:, col])
+        else:
+            phi[:, col] = xa                                # x~_a * 1
     phi[:, -1] = 1.0
+    return phi
+
+
+def _coefficients(wb: np.ndarray, buffers=None) -> np.ndarray:
+    """Q (features, units), the coefficients of Phi's monomials in the gaussian's
+    exponent -sum over planes of (x~ . v~)^2, for planes of [w; b] stacks wb
+    (planes, d, units): -(2 - delta_ab) v~_a v~_b for x~_a x~_b, and minus the
+    planes' sum of v~_{d-1}^2 for the shared 1 * 1."""
+    planes, d, units = wb.shape
+    ia, ib, factor, _ = _monomials(planes, d)
+    k = len(ia)
+    q = _work(buffers, "Q", (planes * k + 1, units))
+    np.multiply(wb[:, ia] * wb[:, ib], factor, out=q[:-1].reshape(planes, k, units))
     np.negative(np.square(wb[:, -1]).sum(axis=0), out=q[-1])
-    return phi, q
+    return q
 
 
 def _flat_grad(p: NetworkParams, g: np.ndarray, d_alpha, d_c) -> np.ndarray:
@@ -329,34 +357,35 @@ def _flat_grad(p: NetworkParams, g: np.ndarray, d_alpha, d_c) -> np.ndarray:
     return np.concatenate([d_w.ravel(), d_b.ravel(), d_alpha, [d_c]])
 
 
-def _forward_cache(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None):
-    """Batch forward pass returning (values, cache of intermediates).
+def _forward_cache(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=None):
+    """Batch forward pass on _features' feats, returning (values, cache of
+    intermediates).
 
-    The cache (xz, z, s, h) holds _planes' [x | 1] stack and pre-activations,
-    the activations s, and the (batch, units) hidden features that alpha weighs:
+    The cache (xz, z, s, h) holds the [x | 1] stack and pre-activations, the
+    activations s, and the (batch, units) hidden features that alpha weighs:
     h = s for ridge units, the block products for product blocks.  For the
-    gaussian, h = exp(Phi @ Q) (_quadratic_form) takes one GEMM and one
+    gaussian, h = exp(Phi @ Q) (_coefficients) takes one GEMM and one
     exponential per sample and unit, and the cache holds (Phi, [w; b] planes,
     None, h): no pre-activation, factor or block product is formed.
     _weighted_grad_cached reuses the cache, so a step evaluates each
     transcendental once, in a buffer set's arrays if given.
     """
     if act is GAUSSIAN_BUMP:
-        xz, wb = _stacks(p, xb, buffers)
+        wb = _weights(p, buffers)
         if isinstance(p, MlpParams):
-            xz, wb = xz[None], wb[None]
-        phi, q = _quadratic_form(xz, wb, buffers)
-        h = np.matmul(phi, q, out=_work(buffers, "h", (len(xb), q.shape[1])))
+            wb = wb[None]
+        q = _coefficients(wb, buffers)
+        h = np.matmul(feats, q, out=_work(buffers, "h", (len(feats), q.shape[1])))
         np.exp(h, out=h)
-        return h @ p.alpha + p.c, (phi, wb, None, h)
-    xz, z = _planes(p, xb, buffers)
+        return h @ p.alpha + p.c, (feats, wb, None, h)
+    z = _preactivations(p, feats, buffers)
     s = act.f(z, out=_work(buffers, "s", z.shape))
     if isinstance(p, MlpParams):
         h = s
     else:
         h = s[0] if len(s) == 1 else reduce(
             partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
-    return h @ p.alpha + p.c, (xz, z, s, h)
+    return h @ p.alpha + p.c, (feats, z, s, h)
 
 
 def _weighted_grad_cached(p: NetworkParams, act: Activation, coef: np.ndarray,
@@ -372,14 +401,17 @@ def _weighted_grad_cached(p: NetworkParams, act: Activation, coef: np.ndarray,
     c = np.multiply(xz, coef[:, None], out=_work(buffers, "C", xz.shape))
     ridge = isinstance(p, MlpParams)
     if act is GAUSSIAN_BUMP:                                # xz is Phi, z the [w; b] planes
-        g = c.T @ h
-        gv = np.einsum("pabj,pbj->paj", g[_monomials(*z.shape[:2])[3]], z)
+        g = np.matmul(c.T, h, out=_work(buffers, "G", (c.shape[1], h.shape[1])))
+        feature = _monomials(*z.shape[:2])[3]
+        gab = np.take(g, feature, axis=0, out=_work(buffers, "Gab", (*feature.shape, g.shape[1])),
+                      mode="clip")                         # feature is in range
+        gv = np.einsum("pabj,pbj->paj", gab, z, out=_work(buffers, "gv", z.shape))
         gv *= -2.0 * p.alpha
         return _flat_grad(p, gv[0] if ridge else gv, g[-1], coef.sum())
     if ridge:
         c, z, s = c[None], z[None], s[None]
     m = len(z)
-    g = np.empty((m, c.shape[-1], len(p.alpha)))
+    g = _work(buffers, "g", (m, c.shape[-1], len(p.alpha)))
     t = _work(buffers, "t", h.shape)
     # a plain leave-one-out product with no division, so factors that are
     # exactly zero stay exact
@@ -393,26 +425,39 @@ def _weighted_grad_cached(p: NetworkParams, act: Activation, coef: np.ndarray,
     return _flat_grad(p, g[0] if ridge else g, coef @ h, coef.sum())
 
 
-def _values_vjp(p: NetworkParams, act: Activation, pts: np.ndarray, coeffs, buffers=None):
-    """v = sum_s coeffs[s] F(pts[s]) over stacked point sets, and coef -> coef @ dv/dtheta."""
-    out, cache = _forward_cache(p, act, pts, buffers)
-    return coeffs @ out.reshape(len(coeffs), -1), lambda coef: _weighted_grad_cached(
-        p, act, np.multiply.outer(coeffs, coef).reshape(-1), cache, buffers)
+def _values_vjp(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=None):
+    """F at the points of _features' feats, and coef -> coef @ dF/dtheta over them."""
+    out, cache = _forward_cache(p, act, feats, buffers)
+    return out, lambda coef: _weighted_grad_cached(p, act, coef, cache, buffers)
+
+
+@cache
+def _stencil(h: float):
+    """laplacian_stencil(h) and the axis of Grid2D(h) widened by one node:
+    read-only arrays, built once per spacing."""
+    tables = (*laplacian_stencil(h), Grid2D(h).axis(1))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=None):
     """The 5-point Laplacian of F at the Grid2D(h) nodes with index pairs nodes, and
-    its vjp, as _values_vjp.  Product blocks separate: with per-axis tables S of sigma
-    on the axis widened by one node, lap_h F is the GEMM [D_x | V_x] alpha [V_y | D_y]^T
-    of the factors' values V and second differences D at the nodes, and the vjp spreads
-    its weights by the stencil over the widened grid, where F - c = (S_x alpha) S_y^T."""
-    shifts, coeffs = laplacian_stencil(h)
+    its vjp, as _values_vjp.  Ridge units run the network at the stencil points.
+    Product blocks separate: with per-axis tables S of sigma on the axis widened by
+    one node, lap_h F is the GEMM [D_x | V_x] alpha [V_y | D_y]^T of the factors'
+    values V and second differences D at the nodes, and the vjp spreads its weights
+    by the stencil over the widened grid, where F - c = (S_x alpha) S_y^T."""
+    shifts, coeffs, u = _stencil(h)
     pts = nodes[None] + shifts[:, None]                         # (5, k, 2)
-    u = Grid2D(h).axis(1)
     if isinstance(p, MlpParams):
-        return _values_vjp(p, act, u[pts + 1].reshape(-1, 2), coeffs, buffers)
+        xs = u[pts + 1].reshape(-1, 2)
+        out, vjp = _values_vjp(p, act, _features(p, act, xs, buffers), buffers)
+        return coeffs @ out.reshape(len(coeffs), -1), lambda coef: vjp(
+            np.multiply.outer(coeffs, coef).reshape(-1))
     n, size = len(p.alpha), len(u)
-    xz, z = _planes(p, np.broadcast_to(u[:, None], (size, 2)), buffers)
+    xz = _stack(p, np.broadcast_to(u[:, None], (size, 2)), buffers)
+    z = _preactivations(p, xz, buffers)
     s = act.f(z, out=_work(buffers, "s", z.shape))
     d = np.multiply(s[:, 1:-1], -2.0, out=_work(buffers, "d", (2, size - 2, n)))
     d += s[:, 2:]
@@ -423,10 +468,8 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
     lap = np.matmul(dv, vd.T, out=_work(buffers, "lap", (size - 2, size - 2)))
 
     def vjp(coef):
-        w = _work(buffers, "W", (size, size))
-        w.fill(0.0)
-        np.add.at(w.reshape(-1), (pts[..., 0] + 1) * size + pts[..., 1] + 1,
-                  np.multiply.outer(coeffs, coef))
+        w = np.bincount(((pts[..., 0] + 1) * size + pts[..., 1] + 1).ravel(),
+                        np.multiply.outer(coeffs, coef).ravel(), size * size).reshape(size, size)
         adj = _work(buffers, "adj", s.shape)
         np.matmul(w, s[1], out=adj[0])
         np.matmul(w.T, s[0], out=adj[1])
@@ -461,7 +504,7 @@ def grid_values(p: NetworkParams, act: Activation, ax, ay) -> np.ndarray:
 def forward(p: NetworkParams, act: Activation, x: np.ndarray):
     """Evaluate the network at x of shape (m,) or (batch, m)."""
     xb, single = _as_batch(x, p.w.shape[1])
-    out, _ = _forward_cache(p, act, xb)
+    out, _ = _forward_cache(p, act, _features(p, act, xb))
     return float(out[0]) if single else out
 
 
@@ -476,7 +519,7 @@ def weighted_grad_sum(p: NetworkParams, act: Activation, x: np.ndarray, coef: np
     coef = np.asarray(coef, dtype=float)
     if coef.shape != (xb.shape[0],):
         raise ValueError(f"coef must have shape ({xb.shape[0]},), got {coef.shape}")
-    return _values_vjp(p, act, xb, np.ones(1))[1](coef)
+    return _values_vjp(p, act, _features(p, act, xb))[1](coef)
 
 
 def near_zero_factor_weights(p: NetworkParams, tol: float = 1e-6) -> int:

@@ -35,6 +35,8 @@ from .network import (
     Arch,
     Activation,
     NetworkParams,
+    _as_batch,
+    _features,
     _laplacian_vjp,
     _values_vjp,
     grid_values,
@@ -103,9 +105,12 @@ def h2_loss(lam: float = LossSpec.lam, h: float = LossSpec.h) -> LossSpec:
 
 def _mismatch(v, vjp, data, weight):
     """One loss term, weight * mean |r|^2 with r = v - data, and its exact gradient,
-    one vector-Jacobian product, since r is linear in the network's values v."""
-    r = v - data
-    return weight * float(np.mean(r * r)), vjp((2.0 * weight / r.size) * r)
+    one vector-Jacobian product, since r is linear in the network's values v.  The
+    array v, fresh for each term, holds r and then the vjp's weights."""
+    r = np.subtract(v, data, out=v)
+    loss = weight * float(np.mean(r * r))
+    r *= 2.0 * weight / r.size
+    return loss, vjp(r)
 
 
 def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
@@ -121,15 +126,25 @@ def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
     buffers, a dict that train keeps for a run, holds the network's work
     arrays across calls; with None they are fresh.  Results are bitwise equal.
     """
-    l2, grad = _mismatch(*_values_vjp(p, act, x, np.ones(1), buffers), y, 1.0)
+    xb, _ = _as_batch(x, p.w.shape[1])
+    nodes = None
+    if spec.kind == "h2":
+        if centers is None or lap_y is None:
+            raise ValueError("the h2 objective needs stencil centers and lap_y")
+        q = (np.asarray(centers, dtype=float) + 1.0) / spec.h
+        if q.ndim != 2 or q.shape[1] != 2 or np.any((q != np.round(q)) | (q < 0) | (q > 2 / spec.h)):
+            raise ValueError(f"centers must be a (k, 2) array of nodes of Grid2D(h={spec.h})")
+        nodes = q.astype(np.intp)
+    return _objective(p, act, spec, _features(p, act, xb, buffers), y, nodes, lap_y, buffers)
+
+
+def _objective(p, act, spec, feats, y, nodes, lap_y, buffers):
+    """objective from the batch's _features and the centers' node index pairs,
+    which train gathers from arrays it builds once per run."""
+    l2, grad = _mismatch(*_values_vjp(p, act, feats, buffers), y, 1.0)
     if spec.kind == "l2":
         return (l2,), grad
-    if centers is None or lap_y is None:
-        raise ValueError("the h2 objective needs stencil centers and lap_y")
-    q = (np.asarray(centers, dtype=float) + 1.0) / spec.h
-    if q.ndim != 2 or q.shape[1] != 2 or np.any((q != np.round(q)) | (q < 0) | (q > 2 / spec.h)):
-        raise ValueError(f"centers must be a (k, 2) array of nodes of Grid2D(h={spec.h})")
-    lap, g = _mismatch(*_laplacian_vjp(p, act, spec.h, q.astype(np.intp), buffers), lap_y, spec.lam)
+    lap, g = _mismatch(*_laplacian_vjp(p, act, spec.h, nodes, buffers), lap_y, spec.lam)
     grad += g
     return (l2, lap), grad
 
@@ -199,6 +214,27 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
+def _adam_update(state: AdamState, t: int, theta: np.ndarray, grad: np.ndarray) -> None:
+    """Adam's step t in place, with state's hyperparameters: the moments state.m
+    and state.v, then theta.  The one implementation of the update; adam_step
+    applies it to copies."""
+    m, v = state.m, state.v
+    tmp = np.multiply(grad, 1.0 - state.beta1)
+    m *= state.beta1
+    m += tmp
+    np.multiply(grad, 1.0 - state.beta2, out=tmp)
+    tmp *= grad
+    v *= state.beta2
+    v += tmp
+    den = np.divide(v, 1.0 - state.beta2**t, out=tmp)           # v_hat
+    np.sqrt(den, out=den)
+    den += state.eps
+    step = np.divide(m, 1.0 - state.beta1**t)                   # m_hat
+    step *= state.lr
+    step /= den
+    theta -= step
+
+
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
     """One Adam update: returns (advanced state, updated parameter vector).
 
@@ -210,13 +246,11 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
         raise ValueError(
             f"shape mismatch: theta {theta.shape}, grad {grad.shape}, state {state.m.shape}"
         )
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    theta_new = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return replace(state, step=t, m=m, v=v), theta_new
+    new = replace(state, step=state.step + 1, m=np.array(state.m, dtype=float),
+                  v=np.array(state.v, dtype=float))
+    theta = np.array(theta, dtype=float)
+    _adam_update(new, new.step, theta, grad)
+    return new, theta
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +328,20 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     TrainingDiverged as soon as a non-finite training loss appears.
     """
     pool_x, pool_y = sample_uniform(target, cfg.samples, cfg.seed)
-    params = init_params(arch, cfg.seed)
-    theta = pack_params(params)
+    theta = pack_params(init_params(arch, cfg.seed))
+    params = unpack_params(arch, theta)     # w, b and alpha are views of theta
     state = AdamState.fresh(param_count(arch), lr=cfg.learning_rate,
                             beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.epsilon)
     batches = _epoch_batches(cfg.samples, cfg.batch_size, cfg.seed)
+    # a batch's features depend on its points alone: build them once for the
+    # pool, and gather each batch's rows and values into run arrays
+    pool_feats = _features(params, act, pool_x)
+    feats = np.empty((*pool_feats.shape[:-2], cfg.batch_size, pool_feats.shape[-1]))
+    ys = np.empty(cfg.batch_size)
     if spec.kind == "h2":
         loss_grid = Grid2D(h=spec.h)
-        grid_nodes = loss_grid.node_array()
+        side = loss_grid.nodes_per_axis
+        grid_nodes = np.indices((side, side)).reshape(2, -1).T  # node_array's index pairs
         grid_lap = laplacian_field(target, loss_grid).values.ravel()
         grid_rng = stream(cfg.seed, ROLE_GRID_BATCH)
 
@@ -326,20 +366,24 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
         return err
 
     err = checkpoint(0)
-    centers = lap_y = None
+    nodes = lap_y = None
     for it in range(1, cfg.iterations + 1):
         idx = next(batches)
+        fb, yb = feats[..., : len(idx), :], ys[: len(idx)]
+        # idx is in range, and mode="clip" spares take's buffered bounds check
+        np.take(pool_feats, idx, axis=-2, out=fb, mode="clip")
+        np.take(pool_y, idx, out=yb, mode="clip")
         if spec.kind == "h2":
             k = grid_rng.integers(0, len(grid_nodes), size=cfg.batch_size)
-            centers, lap_y = grid_nodes[k], grid_lap[k]
-        terms, g = objective(params, act, spec, pool_x[idx], pool_y[idx], centers, lap_y, buffers)
+            nodes, lap_y = grid_nodes[k], grid_lap[k]
+        terms, g = _objective(params, act, spec, fb, yb, nodes, lap_y, buffers)
         loss_val = sum(terms)
         if not np.isfinite(loss_val):
             trace.batch_losses = losses[: it - 1]
             raise TrainingDiverged(it, loss_val, trace=trace)
         losses[it - 1] = loss_val
-        state, theta = adam_step(state, theta, g)
-        params = unpack_params(arch, theta)
+        _adam_update(state, it, theta, g)
+        params.c = float(theta[-1])         # the one field that is not a view
         if it % cfg.checkpoint_interval == 0 or it == cfg.iterations:
             err = checkpoint(it)
 

@@ -3,13 +3,17 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodmlp
 from prodmlp import (
     CheckpointError,
     ConfigError,
@@ -340,6 +344,34 @@ def test_run_experiment_refuses_another_configs_output_dir(tmp_path):
     (outdir / "experiment_summary.json").write_text("[]")
     with pytest.raises(ConfigError, match="^output_dir"):
         run_experiment(first)
+
+
+def test_desk_h2_replay_is_bitwise_at_one_blas_thread(tmp_path):
+    # replays are bitwise for a fixed numpy/BLAS build and thread count: the
+    # product-block h2 gradient's table GEMMs round differently across
+    # OpenBLAS thread counts, so both replays run at one thread, each in a
+    # fresh process
+    src = Path(prodmlp.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    raw = desk_config(target="cone", loss="h2", seeds=[0])
+    raw["arch"] = {"mmlp": 64}
+    raw["train"].update(iterations=30, checkpoint_interval=10)
+    artifacts = []
+    for k in range(2):
+        out = tmp_path / f"replay{k}"
+        out.mkdir()
+        path = write_config(out, {**raw, "output_dir": str(out)})
+        proc = subprocess.run([sys.executable, "-m", "prodmlp", "run", str(path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        run = out / "mmlp64_gaussian_h2_seed0"
+        trace = [(r.iteration, r.l2_error, r.h2_error, r.zygmund_error)
+                 for r in read_trace_csv(f"{run}_trace.csv").rows]
+        params = json.loads(Path(f"{run}_checkpoint.json").read_text())["params"]
+        artifacts.append((trace, params, Path(f"{run}_error_field.csv").read_bytes()))
+    assert len(artifacts[0][0]) == 4
+    assert artifacts[0] == artifacts[1]
 
 
 def test_diverged_run_writes_flagged_artifacts(tmp_path):

@@ -37,6 +37,7 @@ from prodmlp import (
     widened_axis,
     write_trace_csv,
 )
+from prodmlp._seeds import ROLE_GRID_BATCH, stream
 from prodmlp.training import TRACE_HEADER, _epoch_batches
 
 CONE = target_by_name("cone")
@@ -216,10 +217,10 @@ def test_adam_does_not_mutate_inputs():
     state = AdamState.fresh(2)
     theta = np.array([1.0, 2.0])
     theta_copy = theta.copy()
-    m_before = state.m.copy()
+    m_before, v_before = state.m.copy(), state.v.copy()
     new_state, _ = adam_step(state, theta, np.array([0.3, -0.4]))
     assert np.array_equal(theta, theta_copy)
-    assert np.array_equal(state.m, m_before)
+    assert np.array_equal(state.m, m_before) and np.array_equal(state.v, v_before)
     assert new_state is not state
 
 
@@ -318,6 +319,57 @@ def test_train_replay_is_bitwise_identical():
     for a, b in zip(runs[0].trace.rows, runs[1].trace.rows):
         assert (a.iteration, a.l2_error, a.h2_error, a.zygmund_error) == \
                (b.iteration, b.l2_error, b.h2_error, b.zygmund_error)
+
+
+def reference_train(arch, act, target, spec, cfg, metrics):
+    """train's loop written from the public objective and adam_step, on the same
+    sample pool, batch stream and grid-centre stream: the final parameter vector,
+    the batch losses and the deterministic trace columns."""
+    pool_x, pool_y = sample_uniform(target, cfg.samples, cfg.seed)
+    theta = pack_params(init_params(arch, cfg.seed))
+    state = AdamState.fresh(theta.size, lr=cfg.learning_rate, beta1=cfg.beta1,
+                            beta2=cfg.beta2, eps=cfg.epsilon)
+    batches = _epoch_batches(cfg.samples, cfg.batch_size, cfg.seed)
+    if spec.kind == "h2":
+        grid = Grid2D(spec.h)
+        nodes, lap = grid.node_array(), laplacian_field(target, grid).values.ravel()
+        grid_rng = stream(cfg.seed, ROLE_GRID_BATCH)
+    axis, target_values = widened_axis(metrics), sample_widened(target, metrics)
+    losses, rows = [], []
+
+    def checkpoint(it):
+        err = grid_values(unpack_params(arch, theta), act, axis, axis) - target_values
+        rep = approximation_report(err, metrics)
+        rows.append((it, rep.l2_error, rep.h2_error, rep.zygmund_error))
+
+    checkpoint(0)
+    for it in range(1, cfg.iterations + 1):
+        idx = next(batches)
+        data = ()
+        if spec.kind == "h2":
+            k = grid_rng.integers(0, len(nodes), size=cfg.batch_size)
+            data = (nodes[k], lap[k])
+        terms, grad = objective(unpack_params(arch, theta), act, spec, pool_x[idx],
+                                pool_y[idx], *data)
+        losses.append(sum(terms))
+        state, theta = adam_step(state, theta, grad)
+        if it % cfg.checkpoint_interval == 0 or it == cfg.iterations:
+            checkpoint(it)
+    return theta, np.array(losses), rows
+
+
+@pytest.mark.parametrize("spec", [l2_loss(), h2_loss(h=1.0 / 16.0)], ids=["l2", "h2"])
+@pytest.mark.parametrize("arch", [MlpArch(5), MmlpArch(4)], ids=["mlp", "mmlp"])
+@pytest.mark.parametrize("act", [GAUSSIAN_BUMP, TANH], ids=["gaussian", "tanh"])
+def test_train_matches_the_reference_loop_bitwise(act, arch, spec):
+    # 70 samples in batches of 16: every epoch ends with a short batch of 6
+    cfg = TrainConfig(iterations=25, batch_size=16, samples=70, checkpoint_interval=10, seed=3)
+    result = train(arch, act, CONE, spec, cfg, metrics=SMALL_METRICS)
+    theta, losses, rows = reference_train(arch, act, CONE, spec, cfg, SMALL_METRICS)
+    assert np.array_equal(pack_params(result.params), theta)
+    assert np.array_equal(result.trace.batch_losses, losses)
+    assert [(r.iteration, r.l2_error, r.h2_error, r.zygmund_error)
+            for r in result.trace.rows] == rows
 
 
 def test_train_seed_changes_the_outcome():
