@@ -36,7 +36,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +45,12 @@ from .fdgrid import Grid2D, _atomic_text, write_field_csv
 from .metrics import (
     MetricConfig,
     ZygmundSpec,
+    _target_table,
     annulus_region,
     approximation_report,
     disk_region,
     localization_ratio,
     node_error_field,
-    sample_widened,
     widened_axis,
 )
 from .network import (
@@ -283,7 +283,7 @@ def _parse_archs(v, path: str) -> list[Arch]:
 def _check_region(target: TargetFunction, grid: Grid2D, path: str) -> None:
     """The localization ratio needs the target's singular region to split the
     metric grid."""
-    inside = _singular_region(target)[0](grid.node_array())
+    inside = _region_mask(target, grid)
     if inside.all() or not inside.any():
         raise ConfigError(
             f"{path}: the target's singular region covers {int(inside.sum())} of "
@@ -437,6 +437,17 @@ def _singular_region(target: TargetFunction):
     return disk_region(0.25), {"kind": "disk", "radius": 0.25}
 
 
+@cache
+def _region_mask(target: TargetFunction, grid: Grid2D) -> np.ndarray:
+    """The target's singular region on the grid's nodes, a read-only boolean
+    array built once per (target, grid): the config check, an --grid check and
+    every localization ratio on that grid in one process share it."""
+    n = grid.nodes_per_axis
+    mask = np.asarray(_singular_region(target)[0](grid.node_array()), dtype=bool).reshape(n, n)
+    mask.flags.writeable = False
+    return mask
+
+
 def run_id_for(arch: Arch, act: Activation, loss: LossSpec, seed: int) -> str:
     return f"{_arch_label(arch)}_{act.name}_{loss.kind}_seed{seed}"
 
@@ -477,17 +488,17 @@ def _metric_dict(report) -> dict:
 def _widened_error(params, act: Activation, target: TargetFunction, mc: MetricConfig):
     """F - f on the widened metric grid, which every final metric and field reads."""
     axis = widened_axis(mc)
-    return grid_values(params, act, axis, axis) - sample_widened(target, mc)
+    return grid_values(params, act, axis, axis) - _target_table(target, mc)
 
 
-def _final_summary(err: np.ndarray, target: TargetFunction, mc: MetricConfig):
-    """Final metrics + localization ratio for the target's singular region,
-    plus the error field, all from the widened F - f array err."""
-    region, region_desc = _singular_region(target)
+def _final_summary(err: np.ndarray, report, target: TargetFunction, mc: MetricConfig):
+    """Final metrics, report's (approximation_report of err, or a trace row
+    holding it), + localization ratio for the target's singular region, plus
+    the error field, all from the widened F - f array err."""
     efield = node_error_field(err, mc)
-    out = _metric_dict(approximation_report(err, mc))
-    out["localization_ratio"] = localization_ratio(efield, region)
-    return out, region_desc, efield
+    out = _metric_dict(report)
+    out["localization_ratio"] = localization_ratio(efield, _region_mask(target, mc.grid))
+    return out, _singular_region(target)[1], efield
 
 
 def _write_json(obj, path: Path) -> None:
@@ -567,8 +578,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 raise
 
             write_trace_csv(result.trace, paths["trace"])
+            # the last trace row is train's report of final_error
             final, region_desc, efield = _final_summary(
-                result.final_error, cfg.target, cfg.metrics)
+                result.final_error, result.trace.rows[-1], cfg.target, cfg.metrics)
             write_field_csv(efield, paths["field"])
 
             first = result.trace.rows[0]
@@ -726,7 +738,8 @@ def eval_checkpoint(path, grid: Grid2D | None = None) -> dict:
     if grid is not None:
         _check_region(ck.config.target, grid, "--grid")
     err = _widened_error(ck.params, ck.activation, ck.config.target, mc)
-    out, region_desc, _ = _final_summary(err, ck.config.target, mc)
+    report = approximation_report(err, mc)
+    out, region_desc, _ = _final_summary(err, report, ck.config.target, mc)
     return {"run_id": ck.run_id, "iteration": ck.iteration, "seed": ck.seed,
             "singular_region": region_desc, "final": out,
             "config_digest": ck.config.digest}

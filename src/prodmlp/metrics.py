@@ -13,6 +13,7 @@ network.grid_values fills it for a network, sample_widened for a callable.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -100,9 +101,11 @@ def localization_ratio(field: ScalarField, region) -> float | None:
 
     1 means the error ignores the region, > 1 means it concentrates there.
     Returns None when the field is identically zero (no error mass to
-    localize).  The region must contain some nodes but not all of them.
+    localize).  The region, a predicate on points or a boolean array of the
+    field's nodes, must contain some nodes but not all of them.
     """
-    mask = np.asarray(region(field.grid.node_array()), dtype=bool).reshape(field.values.shape)
+    mask = region if isinstance(region, np.ndarray) else region(field.grid.node_array())
+    mask = np.asarray(mask, dtype=bool).reshape(field.values.shape)
     n_in = int(mask.sum())
     n_tot = mask.size
     if n_in == 0 or n_in == n_tot:
@@ -147,6 +150,17 @@ def sample_widened(u, mc: MetricConfig) -> np.ndarray:
     return np.asarray(u(mc.grid.node_array(mc.zygmund.k_max)), dtype=float).reshape(side, side)
 
 
+@cache
+def _target_table(target, mc: MetricConfig) -> np.ndarray:
+    """sample_widened(target, mc) as a read-only array, built once per (target, mc):
+    a run's checkpoints and every final summary, eval and export of the same
+    target and metric grid in one process share it.  target must be hashable
+    and a pure function of its points, as the package's frozen targets are."""
+    values = sample_widened(target, mc)
+    values.flags.writeable = False
+    return values
+
+
 def _blocks(err: np.ndarray, mc: MetricConfig):
     """block(di, dj): the metric-grid nodes' block of err shifted by (di, dj) nodes."""
     n, side = mc.grid.nodes_per_axis, len(widened_axis(mc))
@@ -172,14 +186,17 @@ def approximation_report(err: np.ndarray, mc: MetricConfig) -> MetricReport:
     sq, lap_sq = float(np.mean(block() ** 2)), float(np.mean(lap**2))
 
     best = 0.0
+    two = 2.0 * block()
+    second = np.empty_like(two)
     for k in range(1, spec.k_max + 1):
         length = k * grid.h
         shifts = [((k, 0), length), ((0, k), length)]
         if spec.include_diagonals:
             shifts += [((k, k), length * np.sqrt(2.0)), ((k, -k), length * np.sqrt(2.0))]
         for (di, dj), vlen in shifts:
-            second = block(di, dj) + block(-di, -dj) - 2.0 * block()
+            np.add(block(di, dj), block(-di, -dj), out=second)
+            second -= two
             # np.maximum, unlike a comparison, carries a NaN through
-            best = float(np.maximum(best, np.abs(second).max() / vlen**spec.alpha))
+            best = float(np.maximum(best, np.abs(second, out=second).max() / vlen**spec.alpha))
     return MetricReport(l2_error=float(np.sqrt(sq)), h2_error=float(np.sqrt(sq + lap_sq)),
                         zygmund_error=best)

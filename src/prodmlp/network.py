@@ -290,10 +290,9 @@ def _weights(p: NetworkParams, buffers=None) -> np.ndarray:
     return wb
 
 
-def _preactivations(p: NetworkParams, xz: np.ndarray, buffers=None) -> np.ndarray:
-    """z = xz @ wb for an [x | 1] stack xz: one GEMM for ridge units, one batched
-    GEMM for product blocks."""
-    wb = _weights(p, buffers)
+def _preactivations(xz: np.ndarray, wb: np.ndarray, buffers=None) -> np.ndarray:
+    """z = xz @ wb for an [x | 1] stack xz and a [w; b] stack wb: one GEMM for
+    ridge units, one batched GEMM for product blocks."""
     return np.matmul(xz, wb, out=_work(buffers, "z", (*xz.shape[:-1], wb.shape[-1])))
 
 
@@ -357,35 +356,48 @@ def _flat_grad(p: NetworkParams, g: np.ndarray, d_alpha, d_c) -> np.ndarray:
     return np.concatenate([d_w.ravel(), d_b.ravel(), d_alpha, [d_c]])
 
 
+def _hidden_weights(p: NetworkParams, act: Activation, buffers=None):
+    """The parameter side of the hidden layer, (wb, q): the [w; b] stack
+    (_weights) and, for the gaussian, Q (_coefficients) of its planes, ridge
+    units as one plane; q is None for any other activation."""
+    wb = _weights(p, buffers)
+    if act is not GAUSSIAN_BUMP:
+        return wb, None
+    if isinstance(p, MlpParams):
+        wb = wb[None]
+    return wb, _coefficients(wb, buffers)
+
+
+def _hidden(act: Activation, feats: np.ndarray, wb: np.ndarray, q, buffers=None):
+    """The hidden layer on _features' feats with _hidden_weights' (wb, q), as
+    (z, s, h): the pre-activations, the activations and the (batch, units)
+    features that alpha weighs, h = s for ridge units and the block products for
+    product blocks.  For the gaussian h = exp(Phi @ Q), one GEMM and one
+    exponential per sample and unit, and z = s = None: no pre-activation, factor
+    or block product is formed."""
+    if q is not None:
+        h = np.matmul(feats, q, out=_work(buffers, "h", (len(feats), q.shape[1])))
+        return None, None, np.exp(h, out=h)
+    z = _preactivations(feats, wb, buffers)
+    s = act.f(z, out=_work(buffers, "s", z.shape))
+    if z.ndim == 2:                                         # ridge units
+        return z, s, s
+    return z, s, s[0] if len(s) == 1 else reduce(
+        partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
+
+
 def _forward_cache(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=None):
     """Batch forward pass on _features' feats, returning (values, cache of
     intermediates).
 
-    The cache (xz, z, s, h) holds the [x | 1] stack and pre-activations, the
-    activations s, and the (batch, units) hidden features that alpha weighs:
-    h = s for ridge units, the block products for product blocks.  For the
-    gaussian, h = exp(Phi @ Q) (_coefficients) takes one GEMM and one
-    exponential per sample and unit, and the cache holds (Phi, [w; b] planes,
-    None, h): no pre-activation, factor or block product is formed.
-    _weighted_grad_cached reuses the cache, so a step evaluates each
-    transcendental once, in a buffer set's arrays if given.
+    The cache (xz, z, s, h) holds the [x | 1] stack and _hidden's layer; for the
+    gaussian it holds (Phi, [w; b] planes, None, h).  _weighted_grad_cached
+    reuses the cache, so a step evaluates each transcendental once, in a buffer
+    set's arrays if given.
     """
-    if act is GAUSSIAN_BUMP:
-        wb = _weights(p, buffers)
-        if isinstance(p, MlpParams):
-            wb = wb[None]
-        q = _coefficients(wb, buffers)
-        h = np.matmul(feats, q, out=_work(buffers, "h", (len(feats), q.shape[1])))
-        np.exp(h, out=h)
-        return h @ p.alpha + p.c, (feats, wb, None, h)
-    z = _preactivations(p, feats, buffers)
-    s = act.f(z, out=_work(buffers, "s", z.shape))
-    if isinstance(p, MlpParams):
-        h = s
-    else:
-        h = s[0] if len(s) == 1 else reduce(
-            partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
-    return h @ p.alpha + p.c, (feats, z, s, h)
+    wb, q = _hidden_weights(p, act, buffers)
+    z, s, h = _hidden(act, feats, wb, q, buffers)
+    return h @ p.alpha + p.c, (feats, wb if q is not None else z, s, h)
 
 
 def _weighted_grad_cached(p: NetworkParams, act: Activation, coef: np.ndarray,
@@ -457,7 +469,7 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
             np.multiply.outer(coeffs, coef).reshape(-1))
     n, size = len(p.alpha), len(u)
     xz = _stack(p, np.broadcast_to(u[:, None], (size, 2)), buffers)
-    z = _preactivations(p, xz, buffers)
+    z = _preactivations(xz, _weights(p, buffers), buffers)
     s = act.f(z, out=_work(buffers, "s", z.shape))
     d = np.multiply(s[:, 1:-1], -2.0, out=_work(buffers, "d", (2, size - 2, n)))
     d += s[:, 2:]
@@ -482,23 +494,49 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
     return lap[nodes[:, 0], nodes[:, 1]] / (h * h), vjp
 
 
+# bytes of one grid_values block's hidden features: well inside a core's L2
+# cache (2 MB on the machine this was tuned on, where 0.5-1 MB blocks ran
+# alike and 1.5 MB ones a third slower), so that exp, or sigma, and h @ alpha
+# read h from cache
+_BLOCK_BYTES = 3 << 18
+
+
 def grid_values(p: NetworkParams, act: Activation, ax, ay) -> np.ndarray:
     """F at the tensor-grid nodes (ax[i], ay[j]) of R^2, a (len(ax), len(ay)) array.
 
     Product blocks separate, so on a grid they form a rank-n_b matrix,
     (sigma(ax w_0 + b_0) * alpha) @ sigma(ay w_1 + b_1)^T + c.  Ridge units
-    are evaluated one grid row at a time in one reused (len(ay), n) buffer,
-    so memory scales with an axis, not with the grid's area."""
+    run the training step's kernel (_hidden) on blocks of whole grid rows whose
+    hidden features take at most _BLOCK_BYTES, or one grid row where that needs
+    more.  Q, or the [w; b] stack, is formed once per call; a block fills only
+    the feature columns that hold x (x^2, x y and x for the gaussian, x in the
+    stack), and h @ alpha goes straight into its output rows.  Memory is
+    bounded by one block, not by the grid's area."""
     if p.w.shape[1] != 2:
         raise ValueError(f"grid_values needs a network on R^2, got m={p.w.shape[1]}")
     if isinstance(p, MmlpParams):
         fx = act.f(np.multiply.outer(ax, p.w[:, 0]) + p.b[:, 0])
         fy = act.f(np.multiply.outer(ay, p.w[:, 1]) + p.b[:, 1])
         return (fx * p.alpha) @ fy.T + p.c
-    zx = np.multiply.outer(ax, p.w[:, 0])
-    zy = np.multiply.outer(ay, p.w[:, 1]) + p.b
-    row = np.empty_like(zy)
-    return np.array([act.f(np.add(r, zy, out=row), out=row) @ p.alpha for r in zx]) + p.c
+    ax, ay = np.asarray(ax, dtype=float), np.asarray(ay, dtype=float)
+    nx, ny = len(ax), len(ay)
+    rows = max(1, min(nx, _BLOCK_BYTES // max(8 * len(p.alpha) * ny, 1)))
+    wb, q = _hidden_weights(p, act)
+    # the features of a block at x = 0 hold the columns free of x; a column of
+    # x~_a * x~_b (or of x~_a * 1 in the stack), x~ = (x, y, 1), holds x iff a = 0
+    feats = _features(p, act, np.stack([np.zeros(rows * ny), np.tile(ay, rows)], axis=-1))
+    pairs = zip(*_monomials(1, 3)[:2]) if q is not None else [(0, 2)]
+    x_columns = [(col, b) for col, (a, b) in enumerate(pairs) if a == 0]
+    block = feats.reshape(rows, ny, feats.shape[-1])
+    out = np.empty((nx, ny))
+    buffers = {}
+    for lo in range(0, nx, rows):
+        x = ax[lo : lo + rows, None]
+        for col, b in x_columns:
+            block[: len(x), :, col] = x * (x, ay, 1.0)[b]
+        _, _, h = _hidden(act, feats[: len(x) * ny], wb, q, buffers)
+        np.matmul(h, p.alpha, out=out[lo : lo + len(x)].reshape(-1))
+    return np.add(out, p.c, out=out)
 
 
 def forward(p: NetworkParams, act: Activation, x: np.ndarray):

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._seeds import ROLE_BATCH, ROLE_GRID_BATCH, stream
 from .fdgrid import Grid2D, _atomic_text, _line_error, _read_table, laplacian_field
-from .metrics import MetricConfig, approximation_report, sample_widened, widened_axis
+from .metrics import MetricConfig, _target_table, approximation_report, widened_axis
 from .network import (
     Arch,
     Activation,
@@ -348,9 +348,8 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     trace = TrainingTrace()
     losses = np.empty(cfg.iterations)
     buffers = {}
-    # the target is fixed, so its values on the widened metric grid are too
     axis = widened_axis(metrics)
-    target_values = sample_widened(target, metrics)
+    target_values = _target_table(target, metrics)
     t0 = time.perf_counter()
 
     def checkpoint(iteration: int) -> np.ndarray:

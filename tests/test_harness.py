@@ -25,6 +25,7 @@ from prodmlp import (
     RadialCone,
     ScalarField,
     ZygmundSpec,
+    approximation_report,
     eval_checkpoint,
     export_field,
     init_params,
@@ -453,13 +454,15 @@ def test_export_field_round_trip(finished_run, tmp_path):
 @pytest.mark.parametrize("arch", [MlpArch(1280), MmlpArch(1024)], ids=["mlp1280", "mmlp1024"])
 def test_final_summary_memory_is_bounded_at_paper_scale(arch):
     # report, error field and localization ratio of a paper-width network on
-    # the default h = 1/128 metric grid (273**2 widened nodes): the grid
-    # evaluator's memory scales with an axis, so the traced peak is about 10 MB
+    # the default h = 1/128 metric grid (273**2 widened nodes): ridge units are
+    # evaluated in blocks of whole grid rows, one row (2.8 MB of hidden
+    # features) at this width, so the traced peak is about 4 MB for mlp1280;
+    # mmlp1024's two factor tables take it to about 9 MB
     tracemalloc.start()
     try:
         mc = MetricConfig()
         err = _widened_error(init_params(arch, 0), GAUSSIAN_BUMP, RadialCone(), mc)
-        final, _, efield = _final_summary(err, RadialCone(), mc)
+        final, _, efield = _final_summary(err, approximation_report(err, mc), RadialCone(), mc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

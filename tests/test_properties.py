@@ -48,7 +48,7 @@ from prodmlp import (
     write_trace_csv,
 )
 from prodmlp.fdgrid import laplacian_stencil
-from prodmlp.network import _features, _forward_cache
+from prodmlp.network import _BLOCK_BYTES, _features, _forward_cache
 from prodmlp.training import TraceRow
 
 
@@ -349,6 +349,26 @@ def test_grid_values_matches_forward_on_the_meshgrid(family, m, units, nx, ny, a
     want = forward(p, act, np.stack([gx.ravel(), gy.ravel()], axis=-1)).reshape(nx, ny)
     assert got.shape == (nx, ny)
     assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+@pytest.mark.parametrize("act", [TANH, GAUSSIAN_BUMP], ids=lambda a: a.name)
+def test_grid_values_across_row_block_seams(act):
+    # 200 units on 100 columns: a block holds a few grid rows; three full
+    # blocks and a short last one of one row, or of all rows but one
+    n, ny = 200, 100
+    rows = _BLOCK_BYTES // (8 * n * ny)
+    assert rows >= 3
+    rng = np.random.default_rng(3)
+    p = random_params(MlpArch(n), rng)
+    ay = rng.uniform(-1.5, 1.5, size=ny)
+    for short in (1, rows - 1):
+        nx = 3 * rows + short
+        ax = rng.uniform(-1.5, 1.5, size=nx)
+        got = grid_values(p, act, ax, ay)
+        gx, gy = np.meshgrid(ax, ay, indexing="ij")
+        want = forward(p, act, np.stack([gx.ravel(), gy.ravel()], axis=-1)).reshape(nx, ny)
+        assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+        assert np.array_equal(got, grid_values(p, act, ax, ay))
 
 
 # spacings as a config may write them, with their values
