@@ -36,7 +36,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +44,14 @@ import numpy as np
 from .fdgrid import Grid2D, _atomic_text, write_field_csv
 from .metrics import (
     MetricConfig,
+    MetricReport,
     ZygmundSpec,
-    _target_table,
     annulus_region,
     approximation_report,
     disk_region,
     localization_ratio,
     node_error_field,
+    sample_widened,
     widened_axis,
 )
 from .network import (
@@ -283,7 +284,7 @@ def _parse_archs(v, path: str) -> list[Arch]:
 def _check_region(target: TargetFunction, grid: Grid2D, path: str) -> None:
     """The localization ratio needs the target's singular region to split the
     metric grid."""
-    inside = _region_mask(target, grid)
+    inside = _singular_region(target)[0](grid.node_array())
     if inside.all() or not inside.any():
         raise ConfigError(
             f"{path}: the target's singular region covers {int(inside.sum())} of "
@@ -437,17 +438,6 @@ def _singular_region(target: TargetFunction):
     return disk_region(0.25), {"kind": "disk", "radius": 0.25}
 
 
-@cache
-def _region_mask(target: TargetFunction, grid: Grid2D) -> np.ndarray:
-    """The target's singular region on the grid's nodes, a read-only boolean
-    array built once per (target, grid): the config check, an --grid check and
-    every localization ratio on that grid in one process share it."""
-    n = grid.nodes_per_axis
-    mask = np.asarray(_singular_region(target)[0](grid.node_array()), dtype=bool).reshape(n, n)
-    mask.flags.writeable = False
-    return mask
-
-
 def run_id_for(arch: Arch, act: Activation, loss: LossSpec, seed: int) -> str:
     return f"{_arch_label(arch)}_{act.name}_{loss.kind}_seed{seed}"
 
@@ -488,17 +478,19 @@ def _metric_dict(report) -> dict:
 def _widened_error(params, act: Activation, target: TargetFunction, mc: MetricConfig):
     """F - f on the widened metric grid, which every final metric and field reads."""
     axis = widened_axis(mc)
-    return grid_values(params, act, axis, axis) - _target_table(target, mc)
+    return grid_values(params, act, axis, axis) - sample_widened(target, mc)
 
 
-def _final_summary(err: np.ndarray, report, target: TargetFunction, mc: MetricConfig):
-    """Final metrics, report's (approximation_report of err, or a trace row
-    holding it), + localization ratio for the target's singular region, plus
-    the error field, all from the widened F - f array err."""
+def _final_summary(err: np.ndarray, report: MetricReport, target: TargetFunction,
+                   mc: MetricConfig):
+    """Final metrics, report (approximation_report of err), + localization ratio
+    for the target's singular region, plus the error field, all from the
+    widened F - f array err."""
+    region, region_desc = _singular_region(target)
     efield = node_error_field(err, mc)
     out = _metric_dict(report)
-    out["localization_ratio"] = localization_ratio(efield, _region_mask(target, mc.grid))
-    return out, _singular_region(target)[1], efield
+    out["localization_ratio"] = localization_ratio(efield, region)
+    return out, region_desc, efield
 
 
 def _write_json(obj, path: Path) -> None:
@@ -578,9 +570,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 raise
 
             write_trace_csv(result.trace, paths["trace"])
-            # the last trace row is train's report of final_error
             final, region_desc, efield = _final_summary(
-                result.final_error, result.trace.rows[-1], cfg.target, cfg.metrics)
+                result.final_error, result.final_report, cfg.target, cfg.metrics)
             write_field_csv(efield, paths["field"])
 
             first = result.trace.rows[0]

@@ -13,7 +13,6 @@ network.grid_values fills it for a network, sample_widened for a callable.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -101,11 +100,9 @@ def localization_ratio(field: ScalarField, region) -> float | None:
 
     1 means the error ignores the region, > 1 means it concentrates there.
     Returns None when the field is identically zero (no error mass to
-    localize).  The region, a predicate on points or a boolean array of the
-    field's nodes, must contain some nodes but not all of them.
+    localize).  The region must contain some nodes but not all of them.
     """
-    mask = region if isinstance(region, np.ndarray) else region(field.grid.node_array())
-    mask = np.asarray(mask, dtype=bool).reshape(field.values.shape)
+    mask = np.asarray(region(field.grid.node_array()), dtype=bool).reshape(field.values.shape)
     n_in = int(mask.sum())
     n_tot = mask.size
     if n_in == 0 or n_in == n_tot:
@@ -148,17 +145,6 @@ def sample_widened(u, mc: MetricConfig) -> np.ndarray:
     """A vectorized callable u of points (k, 2), sampled on the widened grid."""
     side = len(widened_axis(mc))
     return np.asarray(u(mc.grid.node_array(mc.zygmund.k_max)), dtype=float).reshape(side, side)
-
-
-@cache
-def _target_table(target, mc: MetricConfig) -> np.ndarray:
-    """sample_widened(target, mc) as a read-only array, built once per (target, mc):
-    a run's checkpoints and every final summary, eval and export of the same
-    target and metric grid in one process share it.  target must be hashable
-    and a pure function of its points, as the package's frozen targets are."""
-    values = sample_widened(target, mc)
-    values.flags.writeable = False
-    return values
 
 
 def _blocks(err: np.ndarray, mc: MetricConfig):

@@ -523,7 +523,9 @@ def grid_values(p: NetworkParams, act: Activation, ax, ay) -> np.ndarray:
     rows = max(1, min(nx, _BLOCK_BYTES // max(8 * len(p.alpha) * ny, 1)))
     wb, q = _hidden_weights(p, act)
     # the features of a block at x = 0 hold the columns free of x; a column of
-    # x~_a * x~_b (or of x~_a * 1 in the stack), x~ = (x, y, 1), holds x iff a = 0
+    # x~_a * x~_b (or of x~_a * 1 in the stack), x~ = (x, y, 1), holds x iff a = 0.
+    # Calling _features on each block's points, which refills every column, made
+    # the gaussian mlp320 grid at h = 1/64 about 6 % slower
     feats = _features(p, act, np.stack([np.zeros(rows * ny), np.tile(ay, rows)], axis=-1))
     pairs = zip(*_monomials(1, 3)[:2]) if q is not None else [(0, 2)]
     x_columns = [(col, b) for col, (a, b) in enumerate(pairs) if a == 0]

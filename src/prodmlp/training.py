@@ -30,7 +30,7 @@ import numpy as np
 
 from ._seeds import ROLE_BATCH, ROLE_GRID_BATCH, stream
 from .fdgrid import Grid2D, _atomic_text, _line_error, _read_table, laplacian_field
-from .metrics import MetricConfig, _target_table, approximation_report, widened_axis
+from .metrics import MetricConfig, MetricReport, approximation_report, sample_widened, widened_axis
 from .network import (
     Arch,
     Activation,
@@ -284,12 +284,14 @@ class TrainingTrace:
 
 @dataclass
 class TrainResult:
-    """The final parameters, the trace, and final_error, the last checkpoint's
-    F - f on the widened metric grid (the final parameters' error)."""
+    """The final parameters, the trace, final_error, the last checkpoint's F - f
+    on the widened metric grid (the final parameters' error), and final_report,
+    its approximation_report."""
 
     params: NetworkParams
     trace: TrainingTrace
     final_error: np.ndarray
+    final_report: MetricReport
 
 
 class TrainingDiverged(RuntimeError):
@@ -348,11 +350,12 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     trace = TrainingTrace()
     losses = np.empty(cfg.iterations)
     buffers = {}
+    # the target is fixed, so its values on the widened metric grid are too
     axis = widened_axis(metrics)
-    target_values = _target_table(target, metrics)
+    target_values = sample_widened(target, metrics)
     t0 = time.perf_counter()
 
-    def checkpoint(iteration: int) -> np.ndarray:
+    def checkpoint(iteration: int) -> tuple[np.ndarray, MetricReport]:
         err = grid_values(params, act, axis, axis) - target_values
         rep = approximation_report(err, metrics)
         trace.rows.append(TraceRow(
@@ -362,9 +365,9 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
             zygmund_error=rep.zygmund_error,
             seconds=time.perf_counter() - t0,
         ))
-        return err
+        return err, rep
 
-    err = checkpoint(0)
+    err, rep = checkpoint(0)
     nodes = lap_y = None
     for it in range(1, cfg.iterations + 1):
         idx = next(batches)
@@ -384,10 +387,10 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
         _adam_update(state, it, theta, g)
         params.c = float(theta[-1])         # the one field that is not a view
         if it % cfg.checkpoint_interval == 0 or it == cfg.iterations:
-            err = checkpoint(it)
+            err, rep = checkpoint(it)
 
     trace.batch_losses = losses
-    return TrainResult(params=params, trace=trace, final_error=err)
+    return TrainResult(params=params, trace=trace, final_error=err, final_report=rep)
 
 
 # ---------------------------------------------------------------------------
