@@ -445,9 +445,15 @@ def _values_vjp(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=No
 
 @cache
 def _stencil(h: float):
-    """laplacian_stencil(h) and the axis of Grid2D(h) widened by one node:
-    read-only arrays, built once per spacing."""
-    tables = (*laplacian_stencil(h), Grid2D(h).axis(1))
+    """laplacian_stencil(h), the axis u of Grid2D(h) widened by one node, the
+    stencil's shifts as offsets into a flat (len(u), len(u)) table, and the
+    [u | 1] planes (2, len(u), 2) of product blocks on that axis: read-only
+    arrays, built once per spacing."""
+    shifts, coeffs = laplacian_stencil(h)
+    u = Grid2D(h).axis(1)
+    planes = np.ones((2, len(u), 2))
+    planes[..., 0] = u
+    tables = shifts, coeffs, u, shifts @ [len(u), 1], planes
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -457,31 +463,26 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
     """The 5-point Laplacian of F at the Grid2D(h) nodes with index pairs nodes, and
     its vjp, as _values_vjp.  Ridge units run the network at the stencil points.
     Product blocks separate: with per-axis tables S of sigma on the axis widened by
-    one node, lap_h F is the GEMM [D_x | V_x] alpha [V_y | D_y]^T of the factors'
-    values V and second differences D at the nodes, and the vjp spreads its weights
-    by the stencil over the widened grid, where F - c = (S_x alpha) S_y^T."""
-    shifts, coeffs, u = _stencil(h)
-    pts = nodes[None] + shifts[:, None]                         # (5, k, 2)
+    one node, F - c on the widened grid is one GEMM, P = (S_x alpha) S_y^T, and
+    lap_h F is the stencil of P read at the flat indices of the centres' five
+    points: the stencil of values that fdgrid.grid_laplacian takes.  The vjp
+    spreads its weights by the stencil over P's grid, at the same indices."""
+    shifts, coeffs, u, offsets, xz = _stencil(h)
     if isinstance(p, MlpParams):
-        xs = u[pts + 1].reshape(-1, 2)
+        xs = u[nodes[None] + shifts[:, None] + 1].reshape(-1, 2)
         out, vjp = _values_vjp(p, act, _features(p, act, xs, buffers), buffers)
         return coeffs @ out.reshape(len(coeffs), -1), lambda coef: vjp(
             np.multiply.outer(coeffs, coef).reshape(-1))
     n, size = len(p.alpha), len(u)
-    xz = _stack(p, np.broadcast_to(u[:, None], (size, 2)), buffers)
+    at = np.add.outer(offsets, (nodes[:, 0] + 1) * size + nodes[:, 1] + 1)    # (5, k)
     z = _preactivations(xz, _weights(p, buffers), buffers)
     s = act.f(z, out=_work(buffers, "s", z.shape))
-    d = np.multiply(s[:, 1:-1], -2.0, out=_work(buffers, "d", (2, size - 2, n)))
-    d += s[:, 2:]
-    d += s[:, :-2]                                              # h^2 D
-    dv, vd = _work(buffers, "dv", (2, size - 2, 2 * n))
-    dv[:, :n], dv[:, n:], vd[:, :n], vd[:, n:] = d[0], s[0, 1:-1], s[1, 1:-1], d[1]
-    dv *= np.tile(p.alpha, 2)
-    lap = np.matmul(dv, vd.T, out=_work(buffers, "lap", (size - 2, size - 2)))
+    sa = np.multiply(s[0], p.alpha, out=_work(buffers, "sa", (size, n)))
+    table = np.matmul(sa, s[1].T, out=_work(buffers, "P", (size, size)))
 
     def vjp(coef):
-        w = np.bincount(((pts[..., 0] + 1) * size + pts[..., 1] + 1).ravel(),
-                        np.multiply.outer(coeffs, coef).ravel(), size * size).reshape(size, size)
+        w = np.bincount(at.ravel(), np.multiply.outer(coeffs, coef).ravel(),
+                        size * size).reshape(size, size)
         adj = _work(buffers, "adj", s.shape)
         np.matmul(w, s[1], out=adj[0])
         np.matmul(w.T, s[0], out=adj[1])
@@ -491,7 +492,7 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
         g *= p.alpha
         return _flat_grad(p, g, d_alpha, 0.0)
 
-    return lap[nodes[:, 0], nodes[:, 1]] / (h * h), vjp
+    return coeffs @ np.take(table, at), vjp
 
 
 # bytes of one grid_values block's hidden features: well inside a core's L2

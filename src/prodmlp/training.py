@@ -11,8 +11,9 @@ the one place that composes them: it takes data only (the values y at x, and
 for the penalty stencil centers, nodes of the loss grid, with the target's
 lap_h f there) and returns the terms (l2, laplacian) -- the second present
 exactly for the "h2" kind -- with the exact gradient of their sum.  Product
-blocks take the Laplacian term from per-axis tables on the loss grid; ridge
-units run the network at the five stencil points of every center.
+blocks take the Laplacian term as the 5-point stencil of one product table,
+F - c on the loss grid widened by one node, built from per-axis tables of
+sigma; ridge units run the network at the five stencil points of every center.
 
 The training loop pairs the two terms with different data streams: the least
 squares term consumes shuffled minibatches of a fixed uniform sample pool
@@ -82,8 +83,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ("l2", "h2"):
             raise ValueError(f"loss kind must be 'l2' or 'h2', got {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be >= 0 and finite, got {self.lam}")
         try:
             Grid2D(h=self.h)
         except ValueError as e:
@@ -123,17 +124,29 @@ def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
     Laplacian of F at the stencil centers, nodes of Grid2D(spec.h), with lap_y,
     the target's discrete Laplacian there, weighted by spec.lam; lam = 0 makes
     it exactly 0.0 and leaves the gradient exactly the L2 one.
+    An empty batch or empty centers, or y or lap_y of another length than
+    x or centers, raise a ValueError that names the argument.
     buffers, a dict that train keeps for a run, holds the network's work
     arrays across calls; with None they are fresh.  Results are bitwise equal.
     """
     xb, _ = _as_batch(x, p.w.shape[1])
+    if not len(xb):
+        raise ValueError(f"x must hold at least one point, got shape {xb.shape}")
+    if np.shape(y) != (len(xb),):
+        raise ValueError(f"y must hold one value per point of x, shape ({len(xb)},), "
+                         f"got {np.shape(y)}")
     nodes = None
     if spec.kind == "h2":
         if centers is None or lap_y is None:
             raise ValueError("the h2 objective needs stencil centers and lap_y")
         q = (np.asarray(centers, dtype=float) + 1.0) / spec.h
-        if q.ndim != 2 or q.shape[1] != 2 or np.any((q != np.round(q)) | (q < 0) | (q > 2 / spec.h)):
-            raise ValueError(f"centers must be a (k, 2) array of nodes of Grid2D(h={spec.h})")
+        if (q.ndim != 2 or q.shape[1] != 2 or not len(q)
+                or np.any((q != np.round(q)) | (q < 0) | (q > 2 / spec.h))):
+            raise ValueError(f"centers must be a non-empty (k, 2) array of nodes of "
+                             f"Grid2D(h={spec.h})")
+        if np.shape(lap_y) != (len(q),):
+            raise ValueError(f"lap_y must hold one value per center, shape ({len(q)},), "
+                             f"got {np.shape(lap_y)}")
         nodes = q.astype(np.intp)
     return _objective(p, act, spec, _features(p, act, xb, buffers), y, nodes, lap_y, buffers)
 
@@ -184,13 +197,13 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from prodmlp import (
     forward,
     grid_values,
     h2_loss,
+    init_params,
     l2_loss,
     objective,
     pack_params,
@@ -47,8 +48,8 @@ from prodmlp import (
     write_field_csv,
     write_trace_csv,
 )
-from prodmlp.fdgrid import laplacian_stencil
-from prodmlp.network import _BLOCK_BYTES, _features, _forward_cache
+from prodmlp.fdgrid import grid_laplacian, laplacian_stencil
+from prodmlp.network import _BLOCK_BYTES, _features, _forward_cache, _laplacian_vjp
 from prodmlp.training import TraceRow
 
 
@@ -329,6 +330,92 @@ def test_gaussian_closed_form_matches_the_generic_path(family, m, units, batch, 
         assert np.all(np.abs(got - want) <= 2.0 * f_bound)
         assert abs(l2 - want_l2) <= l2_tol
         assert np.all(np.abs(grad - want_grad) <= grad_tol)
+
+
+def product_table_rounding(p, act, h):
+    """The product blocks' table P = F - c on the axis of Grid2D(h) widened by one
+    node, in np.longdouble, and the rounding budget of either float64 table
+    against it, per node, to first order in u = eps / 2: training's
+    (sigma(z_x) alpha) sigma(z_y)^T and grid_values' before it adds c.
+
+    Per axis, node x and block j, with A = |x w| + |b|:
+    * z = x w + b: two roundings, 2 u A;
+    * sigma(z) carries z's error times |sigma'(z)|, 1 - tanh^2 or, for the
+      gaussian, 2 |z| sigma, which also rounds z^2 (u z^2 sigma); its
+      evaluation is within 2 ulp, 4 u sigma;
+    * P: the products alpha_j sigma_x then times sigma_y, and the sum over the
+      n_b blocks, (n_b + 1) u sum_j |alpha_j sigma_x sigma_y|.
+    Below the normal range an operation errs by up to u * UNDERFLOW instead.
+    """
+    ld, u = np.longdouble, np.finfo(float).eps / 2
+    axis = Grid2D(h).axis(1)
+    s, budget = [], []
+    for w, b in zip(p.w.T, p.b.T):
+        z = np.multiply.outer(axis.astype(ld), w.astype(ld)) + b.astype(ld)
+        a = np.abs(np.multiply.outer(axis, w)) + np.abs(b)
+        if act is TANH:
+            si = np.tanh(z)
+            through_z = (1.0 - si * si) * 2.0 * u * a
+        else:
+            si = np.exp(-z * z)
+            through_z = si * u * (4.0 * np.abs(z) * a + z * z)
+        s.append(si)
+        budget.append((through_z + 4.0 * u * np.abs(si)).astype(float))
+    mag, weights = [np.abs(si).astype(float) for si in s], np.abs(p.alpha)
+    budget = ((budget[0] * weights) @ mag[1].T + (mag[0] * weights) @ budget[1].T
+              + (len(weights) + 1) * u * ((mag[0] * weights) @ mag[1].T)
+              + (len(weights) + 2) * UNDERFLOW)
+    return (s[0] * p.alpha.astype(ld)) @ s[1].T, budget
+
+
+def stencil(table, h, signed=True):
+    """The 5-point stencil of a table on a grid widened by one node, at its
+    nodes, with the coefficients' absolute values unless signed."""
+    n = len(table) - 2
+    shifts, coeffs = laplacian_stencil(h)
+    return sum((c if signed else abs(c)) * table[1 + i : 1 + i + n, 1 + j : 1 + j + n]
+               for (i, j), c in zip(shifts, coeffs))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(units=st.integers(1, 40), batch=st.integers(1, 40), k=st.integers(1, 6),
+       scale=st.sampled_from((1.0, 3.0)), act=st.sampled_from((TANH, GAUSSIAN_BUMP)),
+       seed=st.integers(0, 2**32 - 1))
+def test_product_block_laplacian_stays_within_its_rounding_bound(units, batch, k, scale,
+                                                                 act, seed):
+    # the oracle: the 5-point stencil of F in np.longdouble, whose own rounding
+    # is 2^-11 of float64's; the float64 stencil differences P's rounding, so
+    # the bound grows as 1 / h^2, plus the 5-term sum of its exact products
+    h = 0.5 ** (k + 1)
+    rng = np.random.default_rng(seed)
+    p = random_params(MmlpArch(units), rng, scale=scale)
+    nodes = np.round((stencil_centers(rng, h, batch) + 1.0) / h).astype(np.intp)
+    table, budget = product_table_rounding(p, act, h)
+    u = np.finfo(float).eps / 2
+    exact = stencil(table, h)[nodes[:, 0], nodes[:, 1]]
+    bound = stencil(budget + 5.0 * u * np.abs(table).astype(float), h, signed=False)
+    lap, _ = _laplacian_vjp(p, act, h, nodes)
+    assert np.all(np.abs(lap - exact) <= bound[nodes[:, 0], nodes[:, 1]])
+
+
+@pytest.mark.parametrize("act", [TANH, GAUSSIAN_BUMP], ids=lambda a: a.name)
+def test_training_laplacian_matches_the_metrics_stencil(act):
+    # training's lap_h F at every loss-grid node against fdgrid.grid_laplacian of
+    # grid_values on the widened axis, the metrics' H^2-type Laplacian: each
+    # within its budget of the exact stencil, grid_values also rounding P + c,
+    # and grid_laplacian summing F = P + c rather than P
+    h = 1.0 / 128.0
+    u = np.finfo(float).eps / 2
+    side = Grid2D(h).nodes_per_axis
+    nodes = np.indices((side, side)).reshape(2, -1).T
+    for p in (init_params(MmlpArch(64), 0), random_params(MmlpArch(64), np.random.default_rng(7))):
+        table, budget = product_table_rounding(p, act, h)
+        magnitude = np.abs(table).astype(float)
+        bound = stencil(2.0 * budget + 5.0 * u * (2.0 * magnitude + abs(p.c)), h, signed=False)
+        lap, _ = _laplacian_vjp(p, act, h, nodes)
+        axis = Grid2D(h).axis(1)
+        want = grid_laplacian(grid_values(p, act, axis, axis), h)
+        assert np.all(np.abs(lap.reshape(side, side) - want) <= bound)
 
 
 @settings(derandomize=True, database=None, deadline=None)

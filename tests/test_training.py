@@ -57,8 +57,9 @@ def test_loss_spec_validation():
     assert spec.kind == "h2" and spec.lam == 1e-2 and spec.h == 1.0 / 128.0
     with pytest.raises(ValueError):
         LossSpec(kind="h3")
-    with pytest.raises(ValueError):
-        LossSpec(kind="h2", lam=-0.1)
+    for lam in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^lam "):
+            LossSpec(kind="h2", lam=lam)
     for h in (0.0, 0.01):  # the stencil centers are nodes of Grid2D(h)
         with pytest.raises(ValueError, match="grid spacing"):
             LossSpec(kind="h2", h=h)
@@ -139,6 +140,34 @@ def test_h2_centers_must_be_loss_grid_nodes(arch):
     for centers in off_grid:
         with pytest.raises(ValueError, match="centers"):
             objective(p, TANH, spec, x, CONE(x), centers, np.zeros(len(centers)))
+
+
+# each would run: an empty batch or empty centers give a NaN loss, and a short
+# y or lap_y broadcasts to a wrong one
+MALFORMED = {
+    "empty-x": ("x", lambda x, y, c, l: (x[:0], y[:0], c, l)),
+    "scalar-y": ("y", lambda x, y, c, l: (x, y[0], c, l)),
+    "length-1-y": ("y", lambda x, y, c, l: (x, y[:1], c, l)),
+    "empty-centers": ("centers", lambda x, y, c, l: (x, y, c[:0], l[:0])),
+    "length-1-lap_y": ("lap_y", lambda x, y, c, l: (x, y, c, l[:1])),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("arch", [MlpArch(3), MmlpArch(3)], ids=["mlp", "mmlp"])
+def test_objective_refuses_malformed_data(arch, case):
+    rng = np.random.default_rng(6)
+    p = random_params(arch, rng)
+    spec = h2_loss(h=1.0 / 8.0)
+    x = rng.uniform(-1.0, 1.0, size=(4, 2))
+    data = (x, *_data(CONE, x, spec, rng))
+    objective(p, TANH, spec, *data)
+    name, malform = MALFORMED[case]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        objective(p, TANH, spec, *malform(*data))
+    if name in ("x", "y"):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            objective(p, TANH, l2_loss(), *malform(*data)[:2])
 
 
 def test_loss_penalty_scales_linearly_in_lambda():
@@ -247,9 +276,12 @@ def test_train_config_validation():
         TrainConfig(checkpoint_interval=0)
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)
-    for bad in ({"learning_rate": 0.0}, {"beta1": 1.0}, {"beta1": -0.1},
-                {"beta2": 1.5}, {"epsilon": 0.0}, {"epsilon": -1e-8}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+    # an infinite learning rate would surface as a NaN divergence, an infinite
+    # epsilon would freeze theta
+    for bad in ({"learning_rate": 0.0}, {"learning_rate": np.inf}, {"learning_rate": np.nan},
+                {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.5}, {"epsilon": 0.0},
+                {"epsilon": -1e-8}, {"epsilon": np.inf}, {"epsilon": np.nan}):
+        with pytest.raises(ValueError, match="^" + next(iter(bad))):
             TrainConfig(**bad)
 
 
