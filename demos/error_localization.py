@@ -38,7 +38,7 @@ for arch in (MlpArch(20), MmlpArch(16)):
     # F - f on the metric grid widened by the Zygmund margin: the error field
     # and every metric are slices of this one array
     axis = widened_axis(metrics)
-    err = grid_values(result.params, GAUSSIAN_BUMP, axis, axis) - sample_widened(target, metrics)
+    err = grid_values(result.params, GAUSSIAN_BUMP, axis) - sample_widened(target, metrics)
     ratio = localization_ratio(node_error_field(err, metrics), region)
     report = approximation_report(err, metrics)
     print(f"{arch!r}")

@@ -475,12 +475,6 @@ def _metric_dict(report) -> dict:
             "zygmund_error": report.zygmund_error}
 
 
-def _widened_error(params, act: Activation, target: TargetFunction, mc: MetricConfig):
-    """F - f on the widened metric grid, which every final metric and field reads."""
-    axis = widened_axis(mc)
-    return grid_values(params, act, axis, axis) - sample_widened(target, mc)
-
-
 def _final_summary(err: np.ndarray, report: MetricReport, target: TargetFunction,
                    mc: MetricConfig):
     """Final metrics, report (approximation_report of err), + localization ratio
@@ -712,8 +706,15 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def _metrics_override(cfg: ExperimentConfig, grid: Grid2D | None) -> MetricConfig:
-    return cfg.metrics if grid is None else replace(cfg.metrics, grid=grid)
+def _checkpoint_error(path, grid: Grid2D | None):
+    """A stored checkpoint, its config's metrics with the grid override (the
+    CLI's --grid) applied, and F - f on their widened grid, which eval's final
+    metrics and export-field's field read."""
+    ck = load_checkpoint(path)
+    mc = ck.config.metrics if grid is None else replace(ck.config.metrics, grid=grid)
+    axis = widened_axis(mc)
+    err = grid_values(ck.params, ck.activation, axis) - sample_widened(ck.config.target, mc)
+    return ck, mc, err
 
 
 def eval_checkpoint(path, grid: Grid2D | None = None) -> dict:
@@ -724,11 +725,9 @@ def eval_checkpoint(path, grid: Grid2D | None = None) -> dict:
     --grid) must be split by the target's singular region, as parse_config
     already requires of the config's own grid.
     """
-    ck = load_checkpoint(path)
-    mc = _metrics_override(ck.config, grid)
+    ck, mc, err = _checkpoint_error(path, grid)
     if grid is not None:
         _check_region(ck.config.target, grid, "--grid")
-    err = _widened_error(ck.params, ck.activation, ck.config.target, mc)
     report = approximation_report(err, mc)
     out, region_desc, _ = _final_summary(err, report, ck.config.target, mc)
     return {"run_id": ck.run_id, "iteration": ck.iteration, "seed": ck.seed,
@@ -739,9 +738,7 @@ def eval_checkpoint(path, grid: Grid2D | None = None) -> dict:
 def export_field(path, out_path, grid: Grid2D | None = None) -> Path:
     """Write the |F - f| error field of a checkpoint to a CSV file; on the
     config's own grid its bytes are those of the run's error-field CSV."""
-    ck = load_checkpoint(path)
-    mc = _metrics_override(ck.config, grid)
-    err = _widened_error(ck.params, ck.activation, ck.config.target, mc)
+    _, mc, err = _checkpoint_error(path, grid)
     efield = node_error_field(err, mc)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -443,17 +443,30 @@ def _values_vjp(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=No
     return out, lambda coef: _weighted_grad_cached(p, act, coef, cache, buffers)
 
 
+def _planes(axis) -> np.ndarray:
+    """The [u | 1] planes (2, len(u), 2) of product blocks on the square grid of axis u."""
+    return np.stack([axis, np.ones(len(axis))], axis=-1)[None].repeat(2, axis=0)
+
+
+def _product_table(p: MmlpParams, act: Activation, planes: np.ndarray, buffers=None):
+    """Product blocks on the square grid of _planes' planes, as (z, s, P): the
+    per-axis pre-activations and sigma tables (2, len(u), n_b), and
+    P = (s_x alpha) s_y^T, F - c at the grid's nodes, one GEMM of inner
+    dimension n_b."""
+    z = _preactivations(planes, _weights(p, buffers), buffers)
+    s = act.f(z, out=_work(buffers, "s", z.shape))
+    sa = np.multiply(s[0], p.alpha, out=_work(buffers, "sa", s[0].shape))
+    return z, s, np.matmul(sa, s[1].T, out=_work(buffers, "P", (len(sa), len(sa))))
+
+
 @cache
 def _stencil(h: float):
     """laplacian_stencil(h), the axis u of Grid2D(h) widened by one node, the
     stencil's shifts as offsets into a flat (len(u), len(u)) table, and the
-    [u | 1] planes (2, len(u), 2) of product blocks on that axis: read-only
-    arrays, built once per spacing."""
+    [u | 1] planes of u: read-only arrays, built once per spacing."""
     shifts, coeffs = laplacian_stencil(h)
     u = Grid2D(h).axis(1)
-    planes = np.ones((2, len(u), 2))
-    planes[..., 0] = u
-    tables = shifts, coeffs, u, shifts @ [len(u), 1], planes
+    tables = shifts, coeffs, u, shifts @ [len(u), 1], _planes(u)
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -462,9 +475,8 @@ def _stencil(h: float):
 def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=None):
     """The 5-point Laplacian of F at the Grid2D(h) nodes with index pairs nodes, and
     its vjp, as _values_vjp.  Ridge units run the network at the stencil points.
-    Product blocks separate: with per-axis tables S of sigma on the axis widened by
-    one node, F - c on the widened grid is one GEMM, P = (S_x alpha) S_y^T, and
-    lap_h F is the stencil of P read at the flat indices of the centres' five
+    Product blocks separate: lap_h F is the stencil of _product_table's P on the
+    axis widened by one node, read at the flat indices of the centres' five
     points: the stencil of values that fdgrid.grid_laplacian takes.  The vjp
     spreads its weights by the stencil over P's grid, at the same indices."""
     shifts, coeffs, u, offsets, xz = _stencil(h)
@@ -473,12 +485,9 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
         out, vjp = _values_vjp(p, act, _features(p, act, xs, buffers), buffers)
         return coeffs @ out.reshape(len(coeffs), -1), lambda coef: vjp(
             np.multiply.outer(coeffs, coef).reshape(-1))
-    n, size = len(p.alpha), len(u)
+    size = len(u)
     at = np.add.outer(offsets, (nodes[:, 0] + 1) * size + nodes[:, 1] + 1)    # (5, k)
-    z = _preactivations(xz, _weights(p, buffers), buffers)
-    s = act.f(z, out=_work(buffers, "s", z.shape))
-    sa = np.multiply(s[0], p.alpha, out=_work(buffers, "sa", (size, n)))
-    table = np.matmul(sa, s[1].T, out=_work(buffers, "P", (size, size)))
+    z, s, table = _product_table(p, act, xz, buffers)
 
     def vjp(coef):
         w = np.bincount(at.ravel(), np.multiply.outer(coeffs, coef).ravel(),
@@ -502,43 +511,36 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
 _BLOCK_BYTES = 3 << 18
 
 
-def grid_values(p: NetworkParams, act: Activation, ax, ay) -> np.ndarray:
-    """F at the tensor-grid nodes (ax[i], ay[j]) of R^2, a (len(ax), len(ay)) array.
+def grid_values(p: NetworkParams, act: Activation, axis) -> np.ndarray:
+    """F at the nodes (axis[i], axis[j]) of the square grid of axis, a
+    (len(axis), len(axis)) array.
 
-    Product blocks separate, so on a grid they form a rank-n_b matrix,
-    (sigma(ax w_0 + b_0) * alpha) @ sigma(ay w_1 + b_1)^T + c.  Ridge units
-    run the training step's kernel (_hidden) on blocks of whole grid rows whose
-    hidden features take at most _BLOCK_BYTES, or one grid row where that needs
-    more.  Q, or the [w; b] stack, is formed once per call; a block fills only
-    the feature columns that hold x (x^2, x y and x for the gaussian, x in the
-    stack), and h @ alpha goes straight into its output rows.  Memory is
-    bounded by one block, not by the grid's area."""
+    Product blocks form _product_table's rank-n_b matrix P, and F = P + c.
+    Ridge units run the training step's kernel (_features, then _hidden) on
+    blocks of whole grid rows whose hidden features take at most _BLOCK_BYTES,
+    or one grid row where that needs more, with Q, or the [w; b] stack, formed
+    once per call; a block writes its rows' x into a reused node buffer and
+    h @ alpha into its output rows, so memory is bounded by one block, not by
+    the grid's area."""
     if p.w.shape[1] != 2:
         raise ValueError(f"grid_values needs a network on R^2, got m={p.w.shape[1]}")
+    axis = np.asarray(axis, dtype=float)
     if isinstance(p, MmlpParams):
-        fx = act.f(np.multiply.outer(ax, p.w[:, 0]) + p.b[:, 0])
-        fy = act.f(np.multiply.outer(ay, p.w[:, 1]) + p.b[:, 1])
-        return (fx * p.alpha) @ fy.T + p.c
-    ax, ay = np.asarray(ax, dtype=float), np.asarray(ay, dtype=float)
-    nx, ny = len(ax), len(ay)
-    rows = max(1, min(nx, _BLOCK_BYTES // max(8 * len(p.alpha) * ny, 1)))
+        _, _, table = _product_table(p, act, _planes(axis))
+        return np.add(table, p.c, out=table)
+    n = len(axis)
+    rows = max(1, min(n, _BLOCK_BYTES // max(8 * len(p.alpha) * n, 1)))
     wb, q = _hidden_weights(p, act)
-    # the features of a block at x = 0 hold the columns free of x; a column of
-    # x~_a * x~_b (or of x~_a * 1 in the stack), x~ = (x, y, 1), holds x iff a = 0.
-    # Calling _features on each block's points, which refills every column, made
-    # the gaussian mlp320 grid at h = 1/64 about 6 % slower
-    feats = _features(p, act, np.stack([np.zeros(rows * ny), np.tile(ay, rows)], axis=-1))
-    pairs = zip(*_monomials(1, 3)[:2]) if q is not None else [(0, 2)]
-    x_columns = [(col, b) for col, (a, b) in enumerate(pairs) if a == 0]
-    block = feats.reshape(rows, ny, feats.shape[-1])
-    out = np.empty((nx, ny))
+    nodes = np.empty((rows, n, 2))
+    nodes[..., 1] = axis
+    out = np.empty((n, n))
     buffers = {}
-    for lo in range(0, nx, rows):
-        x = ax[lo : lo + rows, None]
-        for col, b in x_columns:
-            block[: len(x), :, col] = x * (x, ay, 1.0)[b]
-        _, _, h = _hidden(act, feats[: len(x) * ny], wb, q, buffers)
-        np.matmul(h, p.alpha, out=out[lo : lo + len(x)].reshape(-1))
+    for lo in range(0, n, rows):
+        block = nodes[: min(rows, n - lo)]
+        block[..., 0] = axis[lo : lo + len(block), None]
+        feats = _features(p, act, block.reshape(-1, 2), buffers)
+        _, _, h = _hidden(act, feats, wb, q, buffers)
+        np.matmul(h, p.alpha, out=out[lo : lo + len(block)].reshape(-1))
     return np.add(out, p.c, out=out)
 
 

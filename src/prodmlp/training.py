@@ -369,7 +369,7 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     t0 = time.perf_counter()
 
     def checkpoint(iteration: int) -> tuple[np.ndarray, MetricReport]:
-        err = grid_values(params, act, axis, axis) - target_values
+        err = grid_values(params, act, axis) - target_values
         rep = approximation_report(err, metrics)
         trace.rows.append(TraceRow(
             iteration=iteration,

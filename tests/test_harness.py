@@ -28,6 +28,7 @@ from prodmlp import (
     approximation_report,
     eval_checkpoint,
     export_field,
+    grid_values,
     init_params,
     load_checkpoint,
     load_config,
@@ -35,6 +36,8 @@ from prodmlp import (
     read_field_csv,
     read_trace_csv,
     run_experiment,
+    sample_widened,
+    widened_axis,
     write_field_csv,
 )
 from prodmlp.cli import main
@@ -47,7 +50,6 @@ from prodmlp.harness import (
     _TRAIN,
     _ZYGMUND,
     _final_summary,
-    _widened_error,
     _write_json,
     config_digest,
     desk_config,
@@ -457,11 +459,13 @@ def test_final_summary_memory_is_bounded_at_paper_scale(arch):
     # the default h = 1/128 metric grid (273**2 widened nodes): ridge units are
     # evaluated in blocks of whole grid rows, one row (2.8 MB of hidden
     # features) at this width, so the traced peak is about 4 MB for mlp1280;
-    # mmlp1024's two factor tables take it to about 9 MB
+    # mmlp1024's product table, with its pre-activation and factor tables,
+    # takes it to about 11 MB
     tracemalloc.start()
     try:
         mc = MetricConfig()
-        err = _widened_error(init_params(arch, 0), GAUSSIAN_BUMP, RadialCone(), mc)
+        err = (grid_values(init_params(arch, 0), GAUSSIAN_BUMP, widened_axis(mc))
+               - sample_widened(RadialCone(), mc))
         final, _, efield = _final_summary(err, approximation_report(err, mc), RadialCone(), mc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -6,6 +6,7 @@ Hypothesis still caches the constants it reads from source files under
 .hypothesis/, which git ignores.
 """
 
+import dataclasses
 import json
 import tempfile
 from fractions import Fraction
@@ -49,7 +50,8 @@ from prodmlp import (
     write_trace_csv,
 )
 from prodmlp.fdgrid import grid_laplacian, laplacian_stencil
-from prodmlp.network import _BLOCK_BYTES, _features, _forward_cache, _laplacian_vjp
+from prodmlp.network import (_BLOCK_BYTES, _features, _forward_cache, _laplacian_vjp,
+                             _stencil)
 from prodmlp.training import TraceRow
 
 
@@ -335,8 +337,9 @@ def test_gaussian_closed_form_matches_the_generic_path(family, m, units, batch, 
 def product_table_rounding(p, act, h):
     """The product blocks' table P = F - c on the axis of Grid2D(h) widened by one
     node, in np.longdouble, and the rounding budget of either float64 table
-    against it, per node, to first order in u = eps / 2: training's
-    (sigma(z_x) alpha) sigma(z_y)^T and grid_values' before it adds c.
+    against it, per node, to first order in u = eps / 2: network._product_table's
+    (sigma(z_x) alpha) sigma(z_y)^T, which training's Laplacian term reads and
+    grid_values adds c to.
 
     Per axis, node x and block j, with A = |x w| + |b|:
     * z = x w + b: two roundings, 2 u A;
@@ -403,59 +406,68 @@ def test_training_laplacian_matches_the_metrics_stencil(act):
     # training's lap_h F at every loss-grid node against fdgrid.grid_laplacian of
     # grid_values on the widened axis, the metrics' H^2-type Laplacian: each
     # within its budget of the exact stencil, grid_values also rounding P + c,
-    # and grid_laplacian summing F = P + c rather than P
+    # and grid_laplacian summing F = P + c rather than P.  At c = 0 grid_values
+    # is the product table that training reads, so training's lap_h F is
+    # exactly its stencil at the same flat indices
     h = 1.0 / 128.0
     u = np.finfo(float).eps / 2
     side = Grid2D(h).nodes_per_axis
     nodes = np.indices((side, side)).reshape(2, -1).T
+    _, coeffs, axis, offsets, _ = _stencil(h)
+    at = np.add.outer(offsets, (nodes[:, 0] + 1) * len(axis) + nodes[:, 1] + 1)
     for p in (init_params(MmlpArch(64), 0), random_params(MmlpArch(64), np.random.default_rng(7))):
         table, budget = product_table_rounding(p, act, h)
         magnitude = np.abs(table).astype(float)
         bound = stencil(2.0 * budget + 5.0 * u * (2.0 * magnitude + abs(p.c)), h, signed=False)
         lap, _ = _laplacian_vjp(p, act, h, nodes)
-        axis = Grid2D(h).axis(1)
-        want = grid_laplacian(grid_values(p, act, axis, axis), h)
+        want = grid_laplacian(grid_values(p, act, axis), h)
         assert np.all(np.abs(lap.reshape(side, side) - want) <= bound)
+        at_zero = grid_values(dataclasses.replace(p, c=0.0), act, axis)
+        assert np.array_equal(lap, coeffs @ np.take(at_zero, at))
 
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(family=st.sampled_from((MlpArch, MmlpArch)), m=st.integers(1, 3),
-       units=st.integers(1, 8), nx=st.integers(1, 7), ny=st.integers(1, 7),
+       units=st.integers(1, 8), n=st.integers(1, 7),
        act=st.sampled_from((TANH, GAUSSIAN_BUMP)), seed=st.integers(0, 2**32 - 1))
-def test_grid_values_matches_forward_on_the_meshgrid(family, m, units, nx, ny, act, seed):
+def test_grid_values_matches_forward_on_the_meshgrid(family, m, units, n, act, seed):
     arch = family(units, m=m)
     rng = np.random.default_rng(seed)
     p = random_params(arch, rng)
-    ax, ay = rng.uniform(-1.5, 1.5, size=nx), rng.uniform(-1.5, 1.5, size=ny)
+    axis = rng.uniform(-1.5, 1.5, size=n)
     if m != 2:
         with pytest.raises(ValueError, match=f"m={m}"):
-            grid_values(p, act, ax, ay)
+            grid_values(p, act, axis)
         return
-    got = grid_values(p, act, ax, ay)
-    gx, gy = np.meshgrid(ax, ay, indexing="ij")
-    want = forward(p, act, np.stack([gx.ravel(), gy.ravel()], axis=-1)).reshape(nx, ny)
-    assert got.shape == (nx, ny)
+    got = grid_values(p, act, axis)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    want = forward(p, act, np.stack([gx.ravel(), gy.ravel()], axis=-1)).reshape(n, n)
+    assert got.shape == (n, n)
     assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
 
 
 @pytest.mark.parametrize("act", [TANH, GAUSSIAN_BUMP], ids=lambda a: a.name)
+def test_grid_values_on_an_empty_axis(act):
+    rng = np.random.default_rng(4)
+    for arch in (MlpArch(5), MmlpArch(4)):
+        assert grid_values(random_params(arch, rng), act, np.empty(0)).shape == (0, 0)
+
+
+@pytest.mark.parametrize("act", [TANH, GAUSSIAN_BUMP], ids=lambda a: a.name)
 def test_grid_values_across_row_block_seams(act):
-    # 200 units on 100 columns: a block holds a few grid rows; three full
-    # blocks and a short last one of one row, or of all rows but one
-    n, ny = 200, 100
-    rows = _BLOCK_BYTES // (8 * n * ny)
-    assert rows >= 3
+    # 1,600 units on 13 nodes and 1,400 units on 15: a block holds 4 grid rows,
+    # so three full blocks and a short last one of one row, or of all rows but one
     rng = np.random.default_rng(3)
-    p = random_params(MlpArch(n), rng)
-    ay = rng.uniform(-1.5, 1.5, size=ny)
-    for short in (1, rows - 1):
-        nx = 3 * rows + short
-        ax = rng.uniform(-1.5, 1.5, size=nx)
-        got = grid_values(p, act, ax, ay)
-        gx, gy = np.meshgrid(ax, ay, indexing="ij")
-        want = forward(p, act, np.stack([gx.ravel(), gy.ravel()], axis=-1)).reshape(nx, ny)
+    for units, short in ((1600, 1), (1400, 3)):
+        n = 3 * 4 + short
+        assert _BLOCK_BYTES // (8 * units * n) == 4
+        p = random_params(MlpArch(units), rng)
+        axis = rng.uniform(-1.5, 1.5, size=n)
+        got = grid_values(p, act, axis)
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
+        want = forward(p, act, np.stack([gx.ravel(), gy.ravel()], axis=-1)).reshape(n, n)
         assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
-        assert np.array_equal(got, grid_values(p, act, ax, ay))
+        assert np.array_equal(got, grid_values(p, act, axis))
 
 
 # spacings as a config may write them, with their values

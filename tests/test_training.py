@@ -321,7 +321,7 @@ def test_train_initial_checkpoint_is_the_untrained_network():
     cfg = TrainConfig(iterations=2, batch_size=4, samples=8, seed=7)
     res = train(MmlpArch(3), GAUSSIAN_BUMP, CIRCLE, l2_loss(), cfg, metrics=SMALL_METRICS)
     axis = widened_axis(SMALL_METRICS)
-    err = (grid_values(init_params(MmlpArch(3), 7), GAUSSIAN_BUMP, axis, axis)
+    err = (grid_values(init_params(MmlpArch(3), 7), GAUSSIAN_BUMP, axis)
            - sample_widened(CIRCLE, SMALL_METRICS))
     rep = approximation_report(err, SMALL_METRICS)
     first = res.trace.rows[0]
@@ -336,7 +336,7 @@ def test_train_final_error_is_the_final_parameters_error():
     for arch in (MlpArch(4), MmlpArch(3)):
         res = train(arch, GAUSSIAN_BUMP, CONE, h2_loss(h=1.0 / 16.0), cfg, metrics=SMALL_METRICS)
         axis = widened_axis(SMALL_METRICS)
-        err = (grid_values(res.params, GAUSSIAN_BUMP, axis, axis)
+        err = (grid_values(res.params, GAUSSIAN_BUMP, axis)
                - sample_widened(CONE, SMALL_METRICS))
         assert np.array_equal(res.final_error, err)
         assert res.trace.rows[-1].l2_error == approximation_report(err, SMALL_METRICS).l2_error
@@ -370,7 +370,7 @@ def reference_train(arch, act, target, spec, cfg, metrics):
     losses, rows = [], []
 
     def checkpoint(it):
-        err = grid_values(unpack_params(arch, theta), act, axis, axis) - target_values
+        err = grid_values(unpack_params(arch, theta), act, axis) - target_values
         rep = approximation_report(err, metrics)
         rows.append((it, rep.l2_error, rep.h2_error, rep.zygmund_error))
 
