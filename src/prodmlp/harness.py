@@ -417,16 +417,14 @@ def desk_config(target: str = "cone", loss: str = "l2", seeds=(0, 1, 2),
 # ---------------------------------------------------------------------------
 
 
-def _arch_label(arch: Arch) -> str:
-    if isinstance(arch, MlpArch):
-        return f"mlp{arch.n}"
-    return f"mmlp{arch.n_b}"
-
-
 def _arch_descriptor(arch: Arch) -> dict:
     if isinstance(arch, MlpArch):
         return {"kind": "mlp", "units": arch.n, "m": arch.m}
     return {"kind": "mmlp", "units": arch.n_b, "m": arch.m}
+
+
+def _arch_label(arch: Arch) -> str:
+    return "{kind}{units}".format_map(_arch_descriptor(arch))
 
 
 def _singular_region(target: TargetFunction):

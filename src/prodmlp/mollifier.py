@@ -34,6 +34,8 @@ __all__ = [
 
 TAIL_CUTOFF = 1e-16
 DEFAULT_QUAD_POINTS = 512
+# batch points per mollify chunk, whose f call takes _CHUNK * quad_points^m points
+_CHUNK = 16
 
 
 def _window_radius(act: Activation) -> float:
@@ -122,7 +124,7 @@ def kernel_as_block(kern: MollifierKernel, center: np.ndarray | None = None) -> 
 
 
 def mollify(kern: MollifierKernel, f, x: np.ndarray,
-            quad_points: int | None = None, _chunk: int = 16):
+            quad_points: int | None = None):
     """(f * xi_eps)(x) by tensor-product trapezoid quadrature.
 
     f must accept arrays of shape (k, m).  x may be one point (m,) or a batch
@@ -144,11 +146,11 @@ def mollify(kern: MollifierKernel, f, x: np.ndarray,
     weighted_kernel = kernel_value(kern, z) * wts               # (q^m,)
 
     out = np.empty(len(xb))
-    for lo in range(0, len(xb), _chunk):
-        chunk = xb[lo : lo + _chunk]
+    for lo in range(0, len(xb), _CHUNK):
+        chunk = xb[lo : lo + _CHUNK]
         shifted = chunk[:, None, :] - z[None, :, :]             # (c, q^m, m)
         vals = np.asarray(f(shifted.reshape(-1, kern.m)), dtype=float)
-        out[lo : lo + _chunk] = vals.reshape(len(chunk), -1) @ weighted_kernel
+        out[lo : lo + _CHUNK] = vals.reshape(len(chunk), -1) @ weighted_kernel
     return float(out[0]) if single else out
 
 

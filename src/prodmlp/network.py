@@ -262,12 +262,13 @@ def _work(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
 
 
 def _stack(p: NetworkParams, xb: np.ndarray, buffers=None) -> np.ndarray:
-    """The [x | 1] stack of a batch: (batch, m + 1) for ridge units, m contiguous
-    per-coordinate planes (m, batch, 2) for product blocks."""
+    """The [x | 1] stack of a batch as planes: one plane (1, batch, m + 1) for
+    ridge units, m contiguous per-coordinate planes (m, batch, 2) for product
+    blocks."""
     rows, m = xb.shape
     if isinstance(p, MlpParams):
-        xz = _work(buffers, "x1", (rows, m + 1))
-        xz[:, :m] = xb
+        xz = _work(buffers, "x1", (1, rows, m + 1))
+        xz[0, :, :m] = xb
     else:
         xz = _work(buffers, "x1", (m, rows, 2))
         xz[..., 0] = xb.T
@@ -276,12 +277,13 @@ def _stack(p: NetworkParams, xb: np.ndarray, buffers=None) -> np.ndarray:
 
 
 def _weights(p: NetworkParams, buffers=None) -> np.ndarray:
-    """The [w; b] stack wb whose product with _stack's is sigma's argument z:
-    (m + 1, n) for ridge units, m planes (m, 2, n_b) for product blocks."""
+    """The [w; b] planes wb whose product with _stack's is sigma's argument z:
+    one plane (1, m + 1, n) for ridge units, m planes (m, 2, n_b) for product
+    blocks."""
     n, m = p.w.shape
     if isinstance(p, MlpParams):
-        wb = _work(buffers, "wb", (m + 1, n))
-        wb[:m], wb[m] = p.w.T, p.b
+        wb = _work(buffers, "wb", (1, m + 1, n))
+        wb[0, :m], wb[0, m] = p.w.T, p.b
     elif isinstance(p, MmlpParams):
         wb = _work(buffers, "wb", (m, 2, n))
         wb[:, 0], wb[:, 1] = p.w.T, p.b.T
@@ -290,10 +292,10 @@ def _weights(p: NetworkParams, buffers=None) -> np.ndarray:
     return wb
 
 
-def _preactivations(xz: np.ndarray, wb: np.ndarray, buffers=None) -> np.ndarray:
-    """z = xz @ wb for an [x | 1] stack xz and a [w; b] stack wb: one GEMM for
-    ridge units, one batched GEMM for product blocks."""
-    return np.matmul(xz, wb, out=_work(buffers, "z", (*xz.shape[:-1], wb.shape[-1])))
+def _preactivations(xz: np.ndarray, wb: np.ndarray, buffers=None, name="z") -> np.ndarray:
+    """z = xz @ wb for [x | 1] planes xz and [w; b] planes wb, one GEMM per plane,
+    in the buffer set's array of that name."""
+    return np.matmul(xz, wb, out=_work(buffers, name, (*xz.shape[:-1], wb.shape[-1])))
 
 
 @cache
@@ -314,11 +316,11 @@ def _monomials(planes: int, d: int):
 
 
 def _features(p: NetworkParams, act: Activation, xb: np.ndarray, buffers=None) -> np.ndarray:
-    """A batch's parameter-free features, which _forward_cache consumes.  For the
+    """A batch's parameter-free features, which _values_vjp consumes.  For the
     gaussian, Phi (batch, features): the monomials x~_a x~_b of each plane's
     [x | 1] stack x~ in _monomials' layout, then the shared 1 * 1, filled column
     by column from x with no batch-sized temporary, so that train can build Phi
-    once for its whole sample pool.  For any other activation, _stack's stack."""
+    once for its whole sample pool.  For any other activation, _stack's planes."""
     if act is not GAUSSIAN_BUMP:
         return _stack(p, xb, buffers)
     rows, m = xb.shape
@@ -351,96 +353,74 @@ def _coefficients(wb: np.ndarray, buffers=None) -> np.ndarray:
 
 
 def _flat_grad(p: NetworkParams, g: np.ndarray, d_alpha, d_c) -> np.ndarray:
-    """The documented flat layout of a gradient g with respect to the [w; b] stack."""
-    d_w, d_b = (g[:-1].T, g[-1]) if isinstance(p, MlpParams) else (g[:, 0].T, g[:, 1].T)
+    """The documented flat layout of a gradient g with respect to the [w; b] planes."""
+    d_w, d_b = (g[0, :-1].T, g[0, -1]) if isinstance(p, MlpParams) else (g[:, 0].T, g[:, 1].T)
     return np.concatenate([d_w.ravel(), d_b.ravel(), d_alpha, [d_c]])
 
 
 def _hidden_weights(p: NetworkParams, act: Activation, buffers=None):
-    """The parameter side of the hidden layer, (wb, q): the [w; b] stack
-    (_weights) and, for the gaussian, Q (_coefficients) of its planes, ridge
-    units as one plane; q is None for any other activation."""
+    """The parameter side of the hidden layer, (wb, q): the [w; b] planes
+    (_weights) and, for the gaussian, Q (_coefficients) of them; q is None for
+    any other activation."""
     wb = _weights(p, buffers)
-    if act is not GAUSSIAN_BUMP:
-        return wb, None
-    if isinstance(p, MlpParams):
-        wb = wb[None]
-    return wb, _coefficients(wb, buffers)
+    return wb, _coefficients(wb, buffers) if act is GAUSSIAN_BUMP else None
 
 
 def _hidden(act: Activation, feats: np.ndarray, wb: np.ndarray, q, buffers=None):
     """The hidden layer on _features' feats with _hidden_weights' (wb, q), as
-    (z, s, h): the pre-activations, the activations and the (batch, units)
-    features that alpha weighs, h = s for ridge units and the block products for
-    product blocks.  For the gaussian h = exp(Phi @ Q), one GEMM and one
-    exponential per sample and unit, and z = s = None: no pre-activation, factor
-    or block product is formed."""
+    (z, s, h): the per-plane pre-activations and activations, and the (batch,
+    units) features that alpha weighs, the product over planes of s.  For the
+    gaussian h = exp(Phi @ Q), one GEMM and one exponential per sample and unit,
+    and z = s = None: no pre-activation, factor or block product is formed."""
     if q is not None:
         h = np.matmul(feats, q, out=_work(buffers, "h", (len(feats), q.shape[1])))
         return None, None, np.exp(h, out=h)
     z = _preactivations(feats, wb, buffers)
     s = act.f(z, out=_work(buffers, "s", z.shape))
-    if z.ndim == 2:                                         # ridge units
-        return z, s, s
     return z, s, s[0] if len(s) == 1 else reduce(
         partial(np.multiply, out=_work(buffers, "h", s[0].shape)), s)
 
 
-def _forward_cache(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=None):
-    """Batch forward pass on _features' feats, returning (values, cache of
-    intermediates).
+def _values_vjp(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=None):
+    """F at the points of _features' feats, and its vjp coef -> coef @ dF/dtheta
+    over them, a closure over the hidden layer, so a step evaluates each
+    transcendental once, in a buffer set's arrays if given.
 
-    The cache (xz, z, s, h) holds the [x | 1] stack and _hidden's layer; for the
-    gaussian it holds (Phi, [w; b] planes, None, h).  _weighted_grad_cached
-    reuses the cache, so a step evaluates each transcendental once, in a buffer
-    set's arrays if given.
-    """
+    dF/d[w; b] is [x | 1]^T sigma'(z) alpha per sample, so per plane one GEMM of
+    C = coef [x | 1] against sigma'(z), times the plane's leave-one-out product,
+    reduces the batch, and alpha scales the small (., units) result.  For the
+    gaussian one GEMM G = (coef Phi)^T h reduces the batch for all planes: with
+    G_ab the row of the monomial x~_a x~_b, read symmetrically in a and b, a
+    plane's [w; b] stack v~ gets d/dv~_a = -2 alpha sum_b G_ab v~_b, and d/dalpha
+    is the 1 * 1 row."""
     wb, q = _hidden_weights(p, act, buffers)
     z, s, h = _hidden(act, feats, wb, q, buffers)
-    return h @ p.alpha + p.c, (feats, wb if q is not None else z, s, h)
 
+    def vjp(coef):
+        c = np.multiply(feats, coef[:, None], out=_work(buffers, "C", feats.shape))
+        if q is not None:
+            g = np.matmul(c.T, h, out=_work(buffers, "G", (c.shape[1], h.shape[1])))
+            feature = _monomials(*wb.shape[:2])[3]
+            gab = np.take(g, feature, axis=0, out=_work(buffers, "Gab", (*feature.shape, g.shape[1])),
+                          mode="clip")                     # feature is in range
+            gv = np.einsum("pabj,pbj->paj", gab, wb, out=_work(buffers, "gv", wb.shape))
+            gv *= -2.0 * p.alpha
+            return _flat_grad(p, gv, g[-1], coef.sum())
+        m = len(z)
+        g = _work(buffers, "g", (m, c.shape[-1], len(p.alpha)))
+        t = _work(buffers, "t", h.shape)
+        # a plain leave-one-out product with no division, so factors that are
+        # exactly zero stay exact
+        loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
+        for i in range(m):
+            act.df_from_f(z[i], s[i], out=t)
+            if m > 1:
+                t *= reduce(loo, [s[j] for j in range(m) if j != i])
+            np.matmul(c[i].T, t, out=g[i])
+        g *= p.alpha
+        return _flat_grad(p, g, coef @ h, coef.sum())
 
-def _weighted_grad_cached(p: NetworkParams, act: Activation, coef: np.ndarray,
-                          cache, buffers=None) -> np.ndarray:
-    """coef @ dF/dtheta over the cached batch.  dF/d[w; b] is [x | 1]^T sigma'(z)
-    alpha per sample, so per plane one GEMM of C = coef [x | 1] against sigma'(z),
-    times the plane's leave-one-out product for product blocks, reduces the batch,
-    and alpha scales the small (., units) result.  For the gaussian one GEMM
-    G = (coef Phi)^T h reduces the batch for all planes: with G_ab the row of the
-    monomial x~_a x~_b, read symmetrically in a and b, a plane's [w; b] stack v~
-    gets d/dv~_a = -2 alpha sum_b G_ab v~_b, and d/dalpha is the 1 * 1 row."""
-    xz, z, s, h = cache
-    c = np.multiply(xz, coef[:, None], out=_work(buffers, "C", xz.shape))
-    ridge = isinstance(p, MlpParams)
-    if act is GAUSSIAN_BUMP:                                # xz is Phi, z the [w; b] planes
-        g = np.matmul(c.T, h, out=_work(buffers, "G", (c.shape[1], h.shape[1])))
-        feature = _monomials(*z.shape[:2])[3]
-        gab = np.take(g, feature, axis=0, out=_work(buffers, "Gab", (*feature.shape, g.shape[1])),
-                      mode="clip")                         # feature is in range
-        gv = np.einsum("pabj,pbj->paj", gab, z, out=_work(buffers, "gv", z.shape))
-        gv *= -2.0 * p.alpha
-        return _flat_grad(p, gv[0] if ridge else gv, g[-1], coef.sum())
-    if ridge:
-        c, z, s = c[None], z[None], s[None]
-    m = len(z)
-    g = _work(buffers, "g", (m, c.shape[-1], len(p.alpha)))
-    t = _work(buffers, "t", h.shape)
-    # a plain leave-one-out product with no division, so factors that are
-    # exactly zero stay exact
-    loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
-    for i in range(m):
-        act.df_from_f(z[i], s[i], out=t)
-        if m > 1:
-            t *= reduce(loo, [s[j] for j in range(m) if j != i])
-        np.matmul(c[i].T, t, out=g[i])
-    g *= p.alpha
-    return _flat_grad(p, g[0] if ridge else g, coef @ h, coef.sum())
-
-
-def _values_vjp(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=None):
-    """F at the points of _features' feats, and coef -> coef @ dF/dtheta over them."""
-    out, cache = _forward_cache(p, act, feats, buffers)
-    return out, lambda coef: _weighted_grad_cached(p, act, coef, cache, buffers)
+    return h @ p.alpha + p.c, vjp
 
 
 def _planes(axis) -> np.ndarray:
@@ -449,14 +429,14 @@ def _planes(axis) -> np.ndarray:
 
 
 def _product_table(p: MmlpParams, act: Activation, planes: np.ndarray, buffers=None):
-    """Product blocks on the square grid of _planes' planes, as (z, s, P): the
-    per-axis pre-activations and sigma tables (2, len(u), n_b), and
-    P = (s_x alpha) s_y^T, F - c at the grid's nodes, one GEMM of inner
+    """Product blocks on the square grid of _planes' planes, as (s, P): the
+    per-axis sigma tables (2, len(u), n_b), written over the pre-activations,
+    and P = (s_x alpha) s_y^T, F - c at the grid's nodes, one GEMM of inner
     dimension n_b."""
-    z = _preactivations(planes, _weights(p, buffers), buffers)
-    s = act.f(z, out=_work(buffers, "s", z.shape))
+    s = _preactivations(planes, _weights(p, buffers), buffers)
+    act.f(s, out=s)
     sa = np.multiply(s[0], p.alpha, out=_work(buffers, "sa", s[0].shape))
-    return z, s, np.matmul(sa, s[1].T, out=_work(buffers, "P", (len(sa), len(sa))))
+    return s, np.matmul(sa, s[1].T, out=_work(buffers, "P", (len(sa), len(sa))))
 
 
 @cache
@@ -478,7 +458,8 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
     Product blocks separate: lap_h F is the stencil of _product_table's P on the
     axis widened by one node, read at the flat indices of the centres' five
     points: the stencil of values that fdgrid.grid_laplacian takes.  The vjp
-    spreads its weights by the stencil over P's grid, at the same indices."""
+    spreads its weights by the stencil over P's grid, at the same indices, and
+    forms the tables' pre-activations again, by the same GEMM, for sigma'."""
     shifts, coeffs, u, offsets, xz = _stencil(h)
     if isinstance(p, MlpParams):
         xs = u[nodes[None] + shifts[:, None] + 1].reshape(-1, 2)
@@ -487,7 +468,7 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
             np.multiply.outer(coeffs, coef).reshape(-1))
     size = len(u)
     at = np.add.outer(offsets, (nodes[:, 0] + 1) * size + nodes[:, 1] + 1)    # (5, k)
-    z, s, table = _product_table(p, act, xz, buffers)
+    s, table = _product_table(p, act, xz, buffers)
 
     def vjp(coef):
         w = np.bincount(at.ravel(), np.multiply.outer(coeffs, coef).ravel(),
@@ -496,7 +477,8 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
         np.matmul(w, s[1], out=adj[0])
         np.matmul(w.T, s[0], out=adj[1])
         d_alpha = np.einsum("rj,rj->j", s[0], adj[0])
-        adj *= act.df_from_f(z, s, out=z)                       # z is not read again
+        dz = _preactivations(xz, _weights(p, buffers), buffers, "dz")  # "z" holds s
+        adj *= act.df_from_f(dz, s, out=dz)
         g = np.matmul(xz.transpose(0, 2, 1), adj)               # d/d[w_i; b_i] over the tables
         g *= p.alpha
         return _flat_grad(p, g, d_alpha, 0.0)
@@ -518,7 +500,7 @@ def grid_values(p: NetworkParams, act: Activation, axis) -> np.ndarray:
     Product blocks form _product_table's rank-n_b matrix P, and F = P + c.
     Ridge units run the training step's kernel (_features, then _hidden) on
     blocks of whole grid rows whose hidden features take at most _BLOCK_BYTES,
-    or one grid row where that needs more, with Q, or the [w; b] stack, formed
+    or one grid row where that needs more, with Q, or the [w; b] plane, formed
     once per call; a block writes its rows' x into a reused node buffer and
     h @ alpha into its output rows, so memory is bounded by one block, not by
     the grid's area."""
@@ -526,7 +508,7 @@ def grid_values(p: NetworkParams, act: Activation, axis) -> np.ndarray:
         raise ValueError(f"grid_values needs a network on R^2, got m={p.w.shape[1]}")
     axis = np.asarray(axis, dtype=float)
     if isinstance(p, MmlpParams):
-        _, _, table = _product_table(p, act, _planes(axis))
+        _, table = _product_table(p, act, _planes(axis))
         return np.add(table, p.c, out=table)
     n = len(axis)
     rows = max(1, min(n, _BLOCK_BYTES // max(8 * len(p.alpha) * n, 1)))
@@ -547,7 +529,7 @@ def grid_values(p: NetworkParams, act: Activation, axis) -> np.ndarray:
 def forward(p: NetworkParams, act: Activation, x: np.ndarray):
     """Evaluate the network at x of shape (m,) or (batch, m)."""
     xb, single = _as_batch(x, p.w.shape[1])
-    out, _ = _forward_cache(p, act, _features(p, act, xb))
+    out = _values_vjp(p, act, _features(p, act, xb))[0]
     return float(out[0]) if single else out
 
 

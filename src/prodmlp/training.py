@@ -157,6 +157,8 @@ def _objective(p, act, spec, feats, y, nodes, lap_y, buffers):
     l2, grad = _mismatch(*_values_vjp(p, act, feats, buffers), y, 1.0)
     if spec.kind == "l2":
         return (l2,), grad
+    # the l2 term's vjp has run: the Laplacian term reuses the buffer set's
+    # arrays, "wb" and "z" for product blocks and all of them for ridge units
     lap, g = _mismatch(*_laplacian_vjp(p, act, spec.h, nodes, buffers), lap_y, spec.lam)
     grad += g
     return (l2, lap), grad

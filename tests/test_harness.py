@@ -459,8 +459,7 @@ def test_final_summary_memory_is_bounded_at_paper_scale(arch):
     # the default h = 1/128 metric grid (273**2 widened nodes): ridge units are
     # evaluated in blocks of whole grid rows, one row (2.8 MB of hidden
     # features) at this width, so the traced peak is about 4 MB for mlp1280;
-    # mmlp1024's product table, with its pre-activation and factor tables,
-    # takes it to about 11 MB
+    # mmlp1024's product table with its sigma tables takes it to about 7 MB
     tracemalloc.start()
     try:
         mc = MetricConfig()
@@ -473,6 +472,25 @@ def test_final_summary_memory_is_bounded_at_paper_scale(arch):
     assert peak < 64 * 2**20, f"{peak / 2**20:.0f} MB"
     assert efield.values.shape == (257, 257)
     assert all(np.isfinite(v) for v in final.values())
+
+
+def test_product_grid_keeps_only_the_sigma_tables_and_the_table():
+    # grid_values of mmlp1024 on the widened h = 1/128 axis (273 nodes) holds at
+    # its peak the two sigma tables, sigma_x alpha and P; no pre-activation
+    # table outlives _product_table, and 1 MiB covers the rest
+    mc = MetricConfig()
+    axis = widened_axis(mc)
+    p = init_params(MmlpArch(1024), 0)
+    n, n_b = len(axis), 1024
+    assert n == 273
+    tracemalloc.start()
+    try:
+        grid_values(p, GAUSSIAN_BUMP, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (2 * n * n_b + n * n_b + n * n) + 2**20
+    assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
 
 def test_checkpoint_rejects_tampering(tmp_path):

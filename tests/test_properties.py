@@ -50,8 +50,8 @@ from prodmlp import (
     write_trace_csv,
 )
 from prodmlp.fdgrid import grid_laplacian, laplacian_stencil
-from prodmlp.network import (_BLOCK_BYTES, _features, _forward_cache, _laplacian_vjp,
-                             _stencil)
+from prodmlp.network import (_BLOCK_BYTES, _features, _hidden, _hidden_weights,
+                             _laplacian_vjp, _stencil, _values_vjp)
 from prodmlp.training import TraceRow
 
 
@@ -187,18 +187,20 @@ def test_pre_activations_match_the_elementwise_affine_map(family, m, units, batc
     p = random_params(arch, rng)
     x = rng.uniform(-1.5, 1.5, size=(batch, m))
     grown = {}
-    _forward_cache(p, TANH, _features(p, TANH, rng.uniform(size=(batch + 3, m)), grown), grown)
-    # terms[..., k, j] of z[k, j]: the products x_i w_ji and the bias, exactly
+    _values_vjp(p, TANH, _features(p, TANH, rng.uniform(size=(batch + 3, m)), grown), grown)
+    # terms[i, k, j] of plane i's z[i, k, j]: the products x w and the bias,
+    # exactly; ridge units are one plane
     if family is MlpArch:
-        terms = [[[Fraction(x[k, i]) * Fraction(p.w[j, i]) for i in range(m)] + [Fraction(p.b[j])]
-                  for j in range(units)] for k in range(batch)]
+        terms = [[[[Fraction(x[k, i]) * Fraction(p.w[j, i]) for i in range(m)] + [Fraction(p.b[j])]
+                   for j in range(units)] for k in range(batch)]]
     else:
         terms = [[[[Fraction(x[k, i]) * Fraction(p.w[j, i]), Fraction(p.b[j, i])]
                    for j in range(units)] for k in range(batch)] for i in range(m)]
     exact = np.vectorize(float)(np.sum(np.array(terms, dtype=object), axis=-1))
     bound = 4 * np.finfo(float).eps * np.abs(np.array(terms, dtype=float)).sum(axis=-1)
     for buffers in (None, grown):
-        _, (_, z, _, _) = _forward_cache(p, TANH, _features(p, TANH, x, buffers), buffers)
+        z, _, _ = _hidden(TANH, _features(p, TANH, x, buffers), *_hidden_weights(p, TANH, buffers),
+                          buffers)
         assert z.shape == exact.shape
         assert np.all(np.abs(z - exact) <= bound)
 
@@ -316,7 +318,7 @@ def test_gaussian_closed_form_matches_the_generic_path(family, m, units, batch, 
     rng = np.random.default_rng(seed)
     p = random_params(arch, rng)
     x, y = rng.uniform(-1.5, 1.5, size=(batch, m)), rng.normal(size=batch)
-    want, _ = _forward_cache(p, GENERIC_GAUSSIAN, _features(p, GENERIC_GAUSSIAN, x))
+    want, _ = _values_vjp(p, GENERIC_GAUSSIAN, _features(p, GENERIC_GAUSSIAN, x))
     (want_l2,), want_grad = objective(p, GENERIC_GAUSSIAN, l2_loss(), x, y)
     grown = {}
     objective(p, GAUSSIAN_BUMP, l2_loss(), rng.uniform(size=(batch + 3, m)), np.ones(batch + 3),
@@ -327,7 +329,7 @@ def test_gaussian_closed_form_matches_the_generic_path(family, m, units, batch, 
     l2_tol = 2.0 / batch * r @ dr + 2.0 * (batch + 1) * u * want_l2
     grad_tol = 2.0 / batch * ((dr + 2.0 * u * r) @ magnitude + 2.0 * r @ (magnitude * rounding)) + UNDERFLOW
     for buffers in (None, grown):
-        got, _ = _forward_cache(p, GAUSSIAN_BUMP, _features(p, GAUSSIAN_BUMP, x, buffers), buffers)
+        got, _ = _values_vjp(p, GAUSSIAN_BUMP, _features(p, GAUSSIAN_BUMP, x, buffers), buffers)
         (l2,), grad = objective(p, GAUSSIAN_BUMP, l2_loss(), x, y, buffers=buffers)
         assert np.all(np.abs(got - want) <= 2.0 * f_bound)
         assert abs(l2 - want_l2) <= l2_tol
