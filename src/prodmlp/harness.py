@@ -644,8 +644,8 @@ def load_checkpoint(path) -> Checkpoint:
     that the stored run_id names.  The copies of those fields stored beside
     the config must agree with it, so a hand-edited copy cannot make the
     parameters evaluate as another network.  Also rejects unknown formats,
-    stale digests (an edited config), non-finite parameters and parameter
-    vectors of the wrong length.
+    stale digests (an edited config), parameters that are not a flat list of
+    finite JSON numbers and parameter vectors of the wrong length.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -686,13 +686,25 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(
                 f"checkpoint {path}: {key} {data.get(key)!r} disagrees with its "
                 f"config, which gives {value!r} for run_id {run_id!r}")
-    try:
-        vec = np.asarray(data.get("params", []), dtype=float)
-    except (TypeError, ValueError):
-        raise CheckpointError(f"checkpoint {path} carries non-numeric parameters")
-    if not np.all(np.isfinite(vec)):
-        raise CheckpointError(f"checkpoint {path} carries non-finite parameters")
     expected = param_count(arch)
+    params = data.get("params", [])
+    kinds = {type(v) for v in params} if isinstance(params, list) else {type(params)}
+    if not isinstance(params, list) or list in kinds:
+        try:
+            shape = np.shape(params)
+        except ValueError:                      # a ragged nested list
+            shape = "ragged"
+        raise CheckpointError(f"checkpoint {path} carries parameters of shape {shape}, "
+                              f"expected a flat list of {expected}")
+    # JSON numbers only, as _as_number takes them: no strings, no booleans
+    if not kinds <= {int, float}:
+        raise CheckpointError(f"checkpoint {path} carries non-numeric parameters")
+    try:
+        vec = np.array(params, dtype=float)
+    except OverflowError:                       # an integer literal beyond the float range
+        vec = None
+    if vec is None or not np.all(np.isfinite(vec)):
+        raise CheckpointError(f"checkpoint {path} carries non-finite parameters")
     if vec.shape != (expected,):
         raise CheckpointError(
             f"checkpoint {path} carries {vec.size} parameters, "

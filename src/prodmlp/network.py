@@ -384,43 +384,67 @@ def _hidden(act: Activation, feats: np.ndarray, wb: np.ndarray, q, buffers=None)
 def _values_vjp(p: NetworkParams, act: Activation, feats: np.ndarray, buffers=None):
     """F at the points of _features' feats, and its vjp coef -> coef @ dF/dtheta
     over them, a closure over the hidden layer, so a step evaluates each
-    transcendental once, in a buffer set's arrays if given.
-
-    dF/d[w; b] is [x | 1]^T sigma'(z) alpha per sample, so per plane one GEMM of
-    C = coef [x | 1] against sigma'(z), times the plane's leave-one-out product,
-    reduces the batch, and alpha scales the small (., units) result.  For the
-    gaussian one GEMM G = (coef Phi)^T h reduces the batch for all planes: with
-    G_ab the row of the monomial x~_a x~_b, read symmetrically in a and b, a
-    plane's [w; b] stack v~ gets d/dv~_a = -2 alpha sum_b G_ab v~_b, and d/dalpha
-    is the 1 * 1 row."""
+    transcendental once, in a buffer set's arrays if given: _vjp_sums reduces
+    the batch, and _vjp_grad maps the sums to the flat gradient."""
     wb, q = _hidden_weights(p, act, buffers)
-    z, s, h = _hidden(act, feats, wb, q, buffers)
+    hidden = _hidden(act, feats, wb, q, buffers)
+    return hidden[2] @ p.alpha + p.c, lambda coef: _vjp_grad(
+        p, wb, q, *_vjp_sums(act, feats, hidden, coef, buffers), coef.sum(), buffers)
 
-    def vjp(coef):
-        c = np.multiply(feats, coef[:, None], out=_work(buffers, "C", feats.shape))
-        if q is not None:
-            g = np.matmul(c.T, h, out=_work(buffers, "G", (c.shape[1], h.shape[1])))
-            feature = _monomials(*wb.shape[:2])[3]
-            gab = np.take(g, feature, axis=0, out=_work(buffers, "Gab", (*feature.shape, g.shape[1])),
-                          mode="clip")                     # feature is in range
-            gv = np.einsum("pabj,pbj->paj", gab, wb, out=_work(buffers, "gv", wb.shape))
-            gv *= -2.0 * p.alpha
-            return _flat_grad(p, gv, g[-1], coef.sum())
-        m = len(z)
-        g = _work(buffers, "g", (m, c.shape[-1], len(p.alpha)))
-        t = _work(buffers, "t", h.shape)
-        # a plain leave-one-out product with no division, so factors that are
-        # exactly zero stay exact
-        loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
-        for i in range(m):
-            act.df_from_f(z[i], s[i], out=t)
-            if m > 1:
-                t *= reduce(loo, [s[j] for j in range(m) if j != i])
-            np.matmul(c[i].T, t, out=g[i])
+
+def _vjp_sums(act: Activation, feats: np.ndarray, hidden, coef: np.ndarray, buffers=None):
+    """The batch reduction of the vjp on _features' feats and _hidden's (z, s, h),
+    as (g, d_alpha), with d_c = sum(coef): each is a sum over the rows, so blocks
+    of rows add.
+
+    dF/d[w; b] is [x | 1]^T sigma'(z) alpha per sample, so per plane g is one GEMM
+    of C = coef [x | 1] against sigma'(z), times the plane's leave-one-out
+    product, and d_alpha = coef @ h.  For the gaussian g is the one GEMM
+    G = (coef Phi)^T h for all planes, and d_alpha its 1 * 1 row."""
+    z, s, h = hidden
+    c = np.multiply(feats, coef[:, None], out=_work(buffers, "C", feats.shape))
+    if z is None:
+        g = np.matmul(c.T, h, out=_work(buffers, "G", (c.shape[1], h.shape[1])))
+        return g, g[-1]
+    m = len(z)
+    g = _work(buffers, "g", (m, c.shape[-1], h.shape[1]))
+    t = _work(buffers, "t", h.shape)
+    # a plain leave-one-out product with no division, so factors that are
+    # exactly zero stay exact
+    loo = partial(np.multiply, out=_work(buffers, "loo", h.shape) if m > 2 else None)
+    for i in range(m):
+        act.df_from_f(z[i], s[i], out=t)
+        if m > 1:
+            t *= reduce(loo, [s[j] for j in range(m) if j != i])
+        np.matmul(c[i].T, t, out=g[i])
+    return g, coef @ h
+
+
+def _vjp_grad(p: NetworkParams, wb: np.ndarray, q, g: np.ndarray, d_alpha, d_c,
+              buffers=None) -> np.ndarray:
+    """The flat gradient from _vjp_sums' sums, with _hidden_weights' (wb, q): alpha
+    scales the small (., units) sums, g in place where q is None.  For the
+    gaussian, with G_ab the row of the monomial x~_a x~_b, read symmetrically in
+    a and b, a plane's [w; b] stack v~ gets d/dv~_a = -2 alpha sum_b G_ab v~_b."""
+    if q is None:
         g *= p.alpha
-        return _flat_grad(p, g, coef @ h, coef.sum())
+        return _flat_grad(p, g, d_alpha, d_c)
+    feature = _monomials(*wb.shape[:2])[3]
+    gab = np.take(g, feature, axis=0, out=_work(buffers, "Gab", (*feature.shape, g.shape[1])),
+                  mode="clip")                             # feature is in range
+    gv = np.einsum("pabj,pbj->paj", gab, wb, out=_work(buffers, "gv", wb.shape))
+    gv *= -2.0 * p.alpha
+    return _flat_grad(p, gv, d_alpha, d_c)
 
-    return h @ p.alpha + p.c, vjp
+
+def _mismatch(v, vjp, data, weight):
+    """One loss term, weight * mean |r|^2 with r = v - data, and its exact gradient,
+    one vector-Jacobian product, since r is linear in the network's values v.  The
+    array v, fresh for each term, holds r and then the vjp's weights."""
+    r = np.subtract(v, data, out=v)
+    loss = weight * float(np.mean(r * r))
+    r *= 2.0 * weight / r.size
+    return loss, vjp(r)
 
 
 def _planes(axis) -> np.ndarray:
@@ -452,20 +476,15 @@ def _stencil(h: float):
     return tables
 
 
-def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=None):
-    """The 5-point Laplacian of F at the Grid2D(h) nodes with index pairs nodes, and
-    its vjp, as _values_vjp.  Ridge units run the network at the stencil points.
-    Product blocks separate: lap_h F is the stencil of _product_table's P on the
-    axis widened by one node, read at the flat indices of the centres' five
-    points: the stencil of values that fdgrid.grid_laplacian takes.  The vjp
-    spreads its weights by the stencil over P's grid, at the same indices, and
-    forms the tables' pre-activations again, by the same GEMM, for sigma'."""
-    shifts, coeffs, u, offsets, xz = _stencil(h)
-    if isinstance(p, MlpParams):
-        xs = u[nodes[None] + shifts[:, None] + 1].reshape(-1, 2)
-        out, vjp = _values_vjp(p, act, _features(p, act, xs, buffers), buffers)
-        return coeffs @ out.reshape(len(coeffs), -1), lambda coef: vjp(
-            np.multiply.outer(coeffs, coef).reshape(-1))
+def _product_laplacian_vjp(p: MmlpParams, act: Activation, h: float, nodes, buffers=None):
+    """The 5-point Laplacian of product blocks' F at the Grid2D(h) nodes with index
+    pairs nodes, and its vjp, as _values_vjp.  Product blocks separate: lap_h F is
+    the stencil of _product_table's P on the axis widened by one node, read at the
+    flat indices of the centres' five points: the stencil of values that
+    fdgrid.grid_laplacian takes.  The vjp spreads its weights by the stencil over
+    P's grid, at the same indices, and forms the tables' pre-activations again, by
+    the same GEMM, for sigma'."""
+    _, coeffs, u, offsets, xz = _stencil(h)
     size = len(u)
     at = np.add.outer(offsets, (nodes[:, 0] + 1) * size + nodes[:, 1] + 1)    # (5, k)
     s, table = _product_table(p, act, xz, buffers)
@@ -486,11 +505,46 @@ def _laplacian_vjp(p: NetworkParams, act: Activation, h: float, nodes, buffers=N
     return coeffs @ np.take(table, at), vjp
 
 
-# bytes of one grid_values block's hidden features: well inside a core's L2
-# cache (2 MB on the machine this was tuned on, where 0.5-1 MB blocks ran
-# alike and 1.5 MB ones a third slower), so that exp, or sigma, and h @ alpha
-# read h from cache
+# bytes of one block's hidden features, in grid_values and the ridge curvature
+# term: well inside a core's L2 cache (2 MB on the machine this was tuned on,
+# where 0.5-1 MB blocks ran alike and 1.5 MB ones a third slower), so that exp,
+# or sigma, h @ alpha and the vjp's GEMM read h from cache
 _BLOCK_BYTES = 3 << 18
+
+
+def _block_items(items: int, rows: int, units: int) -> int:
+    """Items per block, for items of rows points with units hidden features each:
+    as many as take at most _BLOCK_BYTES of features, at least one, at most all."""
+    return max(1, min(items, _BLOCK_BYTES // max(8 * units * rows, 1)))
+
+
+def _laplacian_mismatch(p: NetworkParams, act: Activation, h: float, nodes, lap_y, weight,
+                        buffers=None):
+    """The curvature term weight * mean |lap_h F - lap_y|^2, with lap_h F the 5-point
+    Laplacian of F at the Grid2D(h) nodes with index pairs nodes, and its gradient,
+    as _mismatch.  Product blocks take _product_laplacian_vjp.  Ridge units make one
+    pass over blocks of whole centres, as many as _block_items allows: a block lays
+    out its centres' five stencil points centre-major and forms their features,
+    hidden layer and F - c, then lap_h F, the residual and _vjp_sums while h is in
+    cache.  The blocks add the sums and _vjp_grad maps them once, so memory is
+    bounded by one block.  lap_h F does not depend on c."""
+    if isinstance(p, MmlpParams):
+        return _mismatch(*_product_laplacian_vjp(p, act, h, nodes, buffers), lap_y, weight)
+    shifts, coeffs, u, _, _ = _stencil(h)
+    wb, q = _hidden_weights(p, act, buffers)
+    r = np.empty(len(nodes))
+    scale = 2.0 * weight / r.size
+    sums = 0.0, 0.0
+    step = _block_items(r.size, len(coeffs), len(p.alpha))
+    for lo in range(0, r.size, step):
+        block = slice(lo, lo + step)
+        feats = _features(p, act, u[nodes[block, None] + shifts + 1].reshape(-1, 2), buffers)
+        hidden = _hidden(act, feats, wb, q, buffers)
+        rb = np.matmul((hidden[2] @ p.alpha).reshape(-1, len(coeffs)), coeffs, out=r[block])
+        rb -= lap_y[block]
+        coef = np.multiply.outer(rb * scale, coeffs).reshape(-1)
+        sums = [t + part for t, part in zip(sums, _vjp_sums(act, feats, hidden, coef, buffers))]
+    return weight * float(np.mean(r * r)), _vjp_grad(p, wb, q, *sums, 0.0, buffers)
 
 
 def grid_values(p: NetworkParams, act: Activation, axis) -> np.ndarray:
@@ -499,11 +553,10 @@ def grid_values(p: NetworkParams, act: Activation, axis) -> np.ndarray:
 
     Product blocks form _product_table's rank-n_b matrix P, and F = P + c.
     Ridge units run the training step's kernel (_features, then _hidden) on
-    blocks of whole grid rows whose hidden features take at most _BLOCK_BYTES,
-    or one grid row where that needs more, with Q, or the [w; b] plane, formed
-    once per call; a block writes its rows' x into a reused node buffer and
-    h @ alpha into its output rows, so memory is bounded by one block, not by
-    the grid's area."""
+    blocks of whole grid rows, as many as _block_items allows, with Q, or the
+    [w; b] plane, formed once per call; a block writes its rows' x into a
+    reused node buffer and h @ alpha into its output rows, so memory is bounded
+    by one block, not by the grid's area."""
     if p.w.shape[1] != 2:
         raise ValueError(f"grid_values needs a network on R^2, got m={p.w.shape[1]}")
     axis = np.asarray(axis, dtype=float)
@@ -511,7 +564,7 @@ def grid_values(p: NetworkParams, act: Activation, axis) -> np.ndarray:
         _, table = _product_table(p, act, _planes(axis))
         return np.add(table, p.c, out=table)
     n = len(axis)
-    rows = max(1, min(n, _BLOCK_BYTES // max(8 * len(p.alpha) * n, 1)))
+    rows = _block_items(n, n, len(p.alpha))
     wb, q = _hidden_weights(p, act)
     nodes = np.empty((rows, n, 2))
     nodes[..., 1] = axis

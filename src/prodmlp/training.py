@@ -13,7 +13,8 @@ lap_h f there) and returns the terms (l2, laplacian) -- the second present
 exactly for the "h2" kind -- with the exact gradient of their sum.  Product
 blocks take the Laplacian term as the 5-point stencil of one product table,
 F - c on the loss grid widened by one node, built from per-axis tables of
-sigma; ridge units run the network at the five stencil points of every center.
+sigma; ridge units run the network at the five stencil points of every center,
+in cache-sized blocks of whole centers.
 
 The training loop pairs the two terms with different data streams: the least
 squares term consumes shuffled minibatches of a fixed uniform sample pool
@@ -38,7 +39,8 @@ from .network import (
     NetworkParams,
     _as_batch,
     _features,
-    _laplacian_vjp,
+    _laplacian_mismatch,
+    _mismatch,
     _values_vjp,
     grid_values,
     init_params,
@@ -104,16 +106,6 @@ def h2_loss(lam: float = LossSpec.lam, h: float = LossSpec.h) -> LossSpec:
 # ---------------------------------------------------------------------------
 
 
-def _mismatch(v, vjp, data, weight):
-    """One loss term, weight * mean |r|^2 with r = v - data, and its exact gradient,
-    one vector-Jacobian product, since r is linear in the network's values v.  The
-    array v, fresh for each term, holds r and then the vjp's weights."""
-    r = np.subtract(v, data, out=v)
-    loss = weight * float(np.mean(r * r))
-    r *= 2.0 * weight / r.size
-    return loss, vjp(r)
-
-
 def objective(p: NetworkParams, act: Activation, spec: LossSpec, x: np.ndarray,
               y: np.ndarray, centers: np.ndarray | None = None,
               lap_y: np.ndarray | None = None, buffers: dict | None = None):
@@ -157,9 +149,11 @@ def _objective(p, act, spec, feats, y, nodes, lap_y, buffers):
     l2, grad = _mismatch(*_values_vjp(p, act, feats, buffers), y, 1.0)
     if spec.kind == "l2":
         return (l2,), grad
-    # the l2 term's vjp has run: the Laplacian term reuses the buffer set's
-    # arrays, "wb" and "z" for product blocks and all of them for ridge units
-    lap, g = _mismatch(*_laplacian_vjp(p, act, spec.h, nodes, buffers), lap_y, spec.lam)
+    # the l2 term's vjp has run, so the Laplacian term may reuse the buffer
+    # set's arrays: "wb" and "z" for product blocks; for ridge units all that
+    # the l2 term used, each centre block writing the leading rows of the
+    # per-row ones ("phi" or "x1", "h" or "z", "s" and "t", and "C")
+    lap, g = _laplacian_mismatch(p, act, spec.h, nodes, lap_y, spec.lam, buffers)
     grad += g
     return (l2, lap), grad
 
@@ -358,7 +352,6 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
     if spec.kind == "h2":
         loss_grid = Grid2D(h=spec.h)
         side = loss_grid.nodes_per_axis
-        grid_nodes = np.indices((side, side)).reshape(2, -1).T  # node_array's index pairs
         grid_lap = laplacian_field(target, loss_grid).values.ravel()
         grid_rng = stream(cfg.seed, ROLE_GRID_BATCH)
 
@@ -391,8 +384,9 @@ def train(arch: Arch, act: Activation, target, spec: LossSpec, cfg: TrainConfig,
         np.take(pool_feats, idx, axis=-2, out=fb, mode="clip")
         np.take(pool_y, idx, out=yb, mode="clip")
         if spec.kind == "h2":
-            k = grid_rng.integers(0, len(grid_nodes), size=cfg.batch_size)
-            nodes, lap_y = grid_nodes[k], grid_lap[k]
+            # flat node indices in node_array's order, split into index pairs
+            k = grid_rng.integers(0, side * side, size=cfg.batch_size)
+            nodes, lap_y = np.stack(divmod(k, side), axis=-1), grid_lap[k]
         terms, g = _objective(params, act, spec, fb, yb, nodes, lap_y, buffers)
         loss_val = sum(terms)
         if not np.isfinite(loss_val):

@@ -5,6 +5,8 @@ handful of tiny brute-force evaluators re-derive the vectorized code paths
 with plain Python loops.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from prodmlp import MlpParams, MmlpParams, pack_params, unpack_params
@@ -77,6 +79,17 @@ def zygmund_oracle(u, spec, grid):
                 second = at(node + v) + at(node - v) - 2.0 * at(node)
                 best = max(best, abs(second) / float(np.hypot(*v)) ** spec.alpha)
     return best
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak, in bytes, of the memory that Python's
+    allocators, numpy's among them, traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_params(arch, rng, scale=1.0):

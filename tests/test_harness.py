@@ -7,13 +7,13 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prodmlp
+from helpers import traced_peak
 from prodmlp import (
     CheckpointError,
     ConfigError,
@@ -460,15 +460,13 @@ def test_final_summary_memory_is_bounded_at_paper_scale(arch):
     # evaluated in blocks of whole grid rows, one row (2.8 MB of hidden
     # features) at this width, so the traced peak is about 4 MB for mlp1280;
     # mmlp1024's product table with its sigma tables takes it to about 7 MB
-    tracemalloc.start()
-    try:
+    def summary():
         mc = MetricConfig()
         err = (grid_values(init_params(arch, 0), GAUSSIAN_BUMP, widened_axis(mc))
                - sample_widened(RadialCone(), mc))
-        final, _, efield = _final_summary(err, approximation_report(err, mc), RadialCone(), mc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return _final_summary(err, approximation_report(err, mc), RadialCone(), mc)
+
+    (final, _, efield), peak = traced_peak(summary)
     assert peak < 64 * 2**20, f"{peak / 2**20:.0f} MB"
     assert efield.values.shape == (257, 257)
     assert all(np.isfinite(v) for v in final.values())
@@ -483,12 +481,7 @@ def test_product_grid_keeps_only_the_sigma_tables_and_the_table():
     p = init_params(MmlpArch(1024), 0)
     n, n_b = len(axis), 1024
     assert n == 273
-    tracemalloc.start()
-    try:
-        grid_values(p, GAUSSIAN_BUMP, axis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(grid_values, p, GAUSSIAN_BUMP, axis)
     bound = 8 * (2 * n * n_b + n * n_b + n * n) + 2**20
     assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
@@ -559,6 +552,28 @@ def test_checkpoint_rejects_tampering(tmp_path):
     garbled.write_text("{{{{")
     with pytest.raises(CheckpointError, match="not valid JSON"):
         load_checkpoint(garbled)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda v: [str(x) for x in v], "non-numeric parameters"),
+    (lambda v: [True] + v[1:], "non-numeric parameters"),
+    (lambda v: [[x] for x in v], r"parameters of shape \(16, 1\), expected a flat list of 16$"),
+    (lambda v: [10**400] + v[1:], "non-finite parameters"),
+], ids=["strings", "boolean", "nested", "integer-overflow"])
+def test_checkpoint_parameters_must_be_json_numbers(finished_run, tmp_path, capsys, edit, message):
+    # hand-edited parameters that numpy would coerce or that the length check
+    # would misreport are refused as checkpoints, also by the CLI
+    _, rec = finished_run
+    data = json.loads(rec.checkpoint_path.read_text())
+    assert len(data["params"]) == 16
+    data["params"] = edit(data["params"])
+    p = tmp_path / "edited_checkpoint.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(p)
+    assert main(["eval", str(p)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "checkpoint" and re.search(message, err["message"])
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from prodmlp import (
 )
 from prodmlp.fdgrid import grid_laplacian, laplacian_stencil
 from prodmlp.network import (_BLOCK_BYTES, _features, _hidden, _hidden_weights,
-                             _laplacian_vjp, _stencil, _values_vjp)
+                             _product_laplacian_vjp, _stencil, _values_vjp)
 from prodmlp.training import TraceRow
 
 
@@ -399,7 +399,7 @@ def test_product_block_laplacian_stays_within_its_rounding_bound(units, batch, k
     u = np.finfo(float).eps / 2
     exact = stencil(table, h)[nodes[:, 0], nodes[:, 1]]
     bound = stencil(budget + 5.0 * u * np.abs(table).astype(float), h, signed=False)
-    lap, _ = _laplacian_vjp(p, act, h, nodes)
+    lap, _ = _product_laplacian_vjp(p, act, h, nodes)
     assert np.all(np.abs(lap - exact) <= bound[nodes[:, 0], nodes[:, 1]])
 
 
@@ -421,7 +421,7 @@ def test_training_laplacian_matches_the_metrics_stencil(act):
         table, budget = product_table_rounding(p, act, h)
         magnitude = np.abs(table).astype(float)
         bound = stencil(2.0 * budget + 5.0 * u * (2.0 * magnitude + abs(p.c)), h, signed=False)
-        lap, _ = _laplacian_vjp(p, act, h, nodes)
+        lap, _ = _product_laplacian_vjp(p, act, h, nodes)
         want = grid_laplacian(grid_values(p, act, axis), h)
         assert np.all(np.abs(lap.reshape(side, side) - want) <= bound)
         at_zero = grid_values(dataclasses.replace(p, c=0.0), act, axis)

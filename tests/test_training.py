@@ -5,7 +5,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, random_params, relative_error
+from helpers import fd_gradient, random_params, relative_error, traced_peak
+from prodmlp import network
 from prodmlp import (
     GAUSSIAN_BUMP,
     TANH,
@@ -198,6 +199,50 @@ def test_loss_grad_matches_finite_differences():
                         pack_params(p))
                     worst = max(worst, relative_error(g, fd))
                 assert worst < tol, f"{arch} {act.name} {spec.kind}: {worst}"
+
+
+@pytest.mark.parametrize("units", [1, 7, 40, 300])
+@pytest.mark.parametrize("act", [TANH, GAUSSIAN_BUMP], ids=lambda a: a.name)
+def test_ridge_curvature_term_does_not_depend_on_its_centre_blocks(act, units, monkeypatch):
+    # the same h2 objective over 11 centres with blocks of all of them, of one
+    # each, and of four (a short last block of three), in a buffer set whose
+    # arrays outlive each block: the blocks only reorder sums and change the
+    # row counts of the GEMMs, so loss and gradient agree to 1e-10 of the loss
+    # and of the gradient's largest entry (about 1e-13 seen: F's rounding
+    # times the stencil's 8 / h^2 = 2048), while a dropped centre or a stale
+    # row moves them by order 1
+    rng = np.random.default_rng(units)
+    p = random_params(MlpArch(units), rng)
+    spec = h2_loss(lam=0.5, h=1.0 / 16.0)
+    x = rng.uniform(-1.0, 1.0, size=(11, 2))
+    data = _data(CONE, x, spec, rng)
+    runs = []
+    for centres in (11, 1, 4):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 8 * 5 * units * centres)
+        runs.append(objective(p, act, spec, x, *data, buffers={}))
+    (want, want_g), *others = runs
+    for terms, g in others:
+        assert terms[0] == want[0]
+        assert abs(terms[1] - want[1]) <= 1e-10 * want[1]
+        assert np.abs(g - want_g).max() <= 1e-10 * np.abs(want_g).max()
+
+
+@pytest.mark.parametrize("act", [TANH, GAUSSIAN_BUMP], ids=lambda a: a.name)
+def test_ridge_h2_objective_memory_is_bounded_by_one_centre_block(act):
+    # mlp320 at batch 2048 and h = 1/128, with fresh and with reused arrays:
+    # the peak is the l2 term's (batch, units) tables, h for the gaussian and
+    # z, sigma and sigma' otherwise, plus as many centre blocks of at most
+    # _BLOCK_BYTES and 1 MiB, not a table of all 5 * 2048 stencil points
+    batch, units, spec = 2048, 320, h2_loss()
+    rng = np.random.default_rng(8)
+    p = init_params(MlpArch(units), 0)
+    x = rng.uniform(-1.0, 1.0, size=(batch, 2))
+    data = _data(CONE, x, spec, rng)
+    tables = 1 if act is GAUSSIAN_BUMP else 3
+    bound = tables * (8 * batch * units + network._BLOCK_BYTES) + 2**20
+    for buffers in (None, {}):
+        _, peak = traced_peak(objective, p, act, spec, x, *data, buffers=buffers)
+        assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
