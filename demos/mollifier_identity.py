@@ -21,11 +21,11 @@ from prodmlp import (
     mollify,
 )
 
-kern = build_kernel(GAUSSIAN_BUMP, m=1, eps=0.3)
+kern = build_kernel(GAUSSIAN_BUMP, m=1, eps=0.3, quad_points=257)
 print(f"1D activation mass {kern.l1_norm:.12f} (sqrt(pi) = {np.sqrt(np.pi):.12f})")
 
 xs = np.array([[-0.5], [0.0], [0.8]])
-smoothed = mollify(kern, lambda x: x[..., 0] ** 2, xs, quad_points=257)
+smoothed = mollify(kern, lambda x: x[..., 0] ** 2, xs)
 print("\nsmoothing x^2 with eps = 0.3 adds eps^2/2 = 0.045 everywhere:")
 for x, v in zip(xs[:, 0], smoothed):
     print(f"  x = {x:+.1f}   smoothed {v:.9f}   x^2 + 0.045 = {x**2 + 0.045:.9f}")

@@ -24,7 +24,7 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .mollifier import convergence_report, write_convergence_csv
+from .mollifier import DEFAULT_QUAD_POINTS, convergence_report, write_convergence_csv
 from .network import GAUSSIAN_BUMP
 from .targets import target_by_name
 from .training import TrainingDiverged
@@ -86,8 +86,7 @@ def _cmd_mollifier_demo(args) -> int:
         return _fail("usage", f"--eps must be comma-separated numbers, got {args.eps!r}")
     grid = _parse_grid(args.grid, "--grid")
     target = target_by_name(args.target)
-    rows = convergence_report(GAUSSIAN_BUMP, eps_list, target, grid,
-                              quad_points=args.quad_points)
+    rows = convergence_report(GAUSSIAN_BUMP, eps_list, target, grid, args.quad_points)
     if args.out:
         with _atomic_text(args.out) as fh:
             write_convergence_csv(rows, fh)
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated decreasing scales")
     mo.add_argument("--target", default="circle", choices=["circle", "cone"])
     mo.add_argument("--grid", default="1/16", help="evaluation grid spacing")
-    mo.add_argument("--quad-points", type=int, default=129,
+    mo.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
                     help="quadrature points per axis")
     mo.add_argument("--out", default=None, help="write the table here instead of stdout")
     mo.set_defaults(fn=_cmd_mollifier_demo)

@@ -16,11 +16,12 @@ that the activation tail is below 1e-16.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .fdgrid import Grid2D
-from .network import Activation, MmlpParams
+from .network import Activation, MmlpParams, _as_batch
 
 __all__ = [
     "MollifierKernel",
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 TAIL_CUTOFF = 1e-16
-DEFAULT_QUAD_POINTS = 512
+DEFAULT_QUAD_POINTS = 129
 # batch points per mollify chunk, whose f call takes _CHUNK * quad_points^m points
 _CHUNK = 16
 
@@ -82,7 +83,11 @@ class MollifierKernel:
 
 def build_kernel(act: Activation, m: int, eps: float,
                  quad_points: int = DEFAULT_QUAD_POINTS) -> MollifierKernel:
-    """Construct the normalized product kernel for one activation and scale."""
+    """Construct the normalized product kernel for one activation and scale.
+
+    quad_points trapezoid nodes per axis give the L1 norm and every mollify
+    with this kernel.
+    """
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
     if not 0 < eps < np.inf:
@@ -98,21 +103,15 @@ def build_kernel(act: Activation, m: int, eps: float,
 
 def kernel_value(kern: MollifierKernel, x: np.ndarray):
     """Evaluate xi_eps at x of shape (m,) or (batch, m)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[1] != kern.m:
-        raise ValueError(f"points must have {kern.m} coordinates, got shape {x.shape}")
+    xb, single = _as_batch(x, kern.m)
     base = np.prod(kern.act.f(xb / kern.eps), axis=1) / kern.l1_norm**kern.m
     out = kern.eps ** (-kern.m) * base
     return float(out[0]) if single else out
 
 
 def kernel_as_block(kern: MollifierKernel, center: np.ndarray | None = None) -> MmlpParams:
-    """Render xi_eps(. - center) as a single multiplicative network block.
-
-    Valid for even activations (the gaussian bump): each factor becomes
-    sigma(x_i / eps - center_i / eps).
+    """Render xi_eps(. - center) as a single multiplicative network block:
+    each factor is sigma(x_i / eps - center_i / eps) = sigma((x - center)_i / eps).
     """
     y = np.zeros(kern.m) if center is None else np.asarray(center, dtype=float)
     if y.shape != (kern.m,):
@@ -123,27 +122,20 @@ def kernel_as_block(kern: MollifierKernel, center: np.ndarray | None = None) -> 
     return MmlpParams(w=w, b=b, alpha=alpha, c=0.0)
 
 
-def mollify(kern: MollifierKernel, f, x: np.ndarray,
-            quad_points: int | None = None):
-    """(f * xi_eps)(x) by tensor-product trapezoid quadrature.
+def mollify(kern: MollifierKernel, f, x: np.ndarray):
+    """(f * xi_eps)(x) by tensor-product trapezoid quadrature, kern.quad_points
+    nodes per axis.
 
-    f must accept arrays of shape (k, m).  x may be one point (m,) or a batch
-    (n, m); batches are processed in chunks to bound memory.
+    The weighted kernel is the m-fold outer product of one per-axis vector
+    w_t * sigma(t / eps) / (eps * ||sigma||_L1).  f must accept arrays of
+    shape (k, m).  x may be one point (m,) or a batch (n, m); batches are
+    processed in chunks to bound memory.
     """
-    q = kern.quad_points if quad_points is None else quad_points
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[1] != kern.m:
-        raise ValueError(f"points must have {kern.m} coordinates, got shape {x.shape}")
-
-    t, w1 = _quad_axis(kern.support_radius(), q)
-    axes = np.meshgrid(*([t] * kern.m), indexing="ij")
-    z = np.stack([a.ravel() for a in axes], axis=-1)            # (q^m, m)
-    wts = np.ones(len(z))
-    for g in np.meshgrid(*([w1] * kern.m), indexing="ij"):
-        wts *= g.ravel()
-    weighted_kernel = kernel_value(kern, z) * wts               # (q^m,)
+    xb, single = _as_batch(x, kern.m)
+    t, w = _quad_axis(kern.support_radius(), kern.quad_points)
+    factor = w * kern.act.f(t / kern.eps) / (kern.eps * kern.l1_norm)
+    weighted_kernel = reduce(np.multiply.outer, [factor] * kern.m).ravel()   # (q^m,)
+    z = np.stack(np.meshgrid(*([t] * kern.m), indexing="ij"), axis=-1).reshape(-1, kern.m)
 
     out = np.empty(len(xb))
     for lo in range(0, len(xb), _CHUNK):
@@ -181,8 +173,7 @@ def convergence_report(act: Activation, eps_list, f, grid: Grid2D,
     exact = np.asarray(f(nodes), dtype=float)
     rows = []
     for eps in eps_arr:
-        kern = build_kernel(act, 2, eps, quad_points)
-        err = mollify(kern, f, nodes, quad_points) - exact
+        err = mollify(build_kernel(act, 2, eps, quad_points), f, nodes) - exact
         rows.append(ConvergenceRow(
             eps=eps,
             sup_error=float(np.abs(err).max()),

@@ -245,7 +245,8 @@ def _as_batch(x: np.ndarray, m: int):
     if single:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != m:
-        raise ValueError(f"points must have shape (..., {m}), got {x.shape}")
+        raise ValueError(f"points must have shape ({m},) or (n, {m}), {m} coordinates "
+                         f"each; got {x.shape}")
     return x, single
 
 
@@ -589,9 +590,8 @@ def forward(p: NetworkParams, act: Activation, x: np.ndarray):
 def weighted_grad_sum(p: NetworkParams, act: Activation, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_k coef[k] * d F(x[k]) / d theta, flat in the documented layout.
 
-    This is the single accumulation primitive behind all loss gradients: any
-    loss whose derivative is a weighted combination of network gradients at a
-    set of points reduces to one call.
+    The public vector-Jacobian product of F over a batch of points: the
+    parameter gradient of sum_k coef[k] * F(x[k]).
     """
     xb, _ = _as_batch(x, p.w.shape[1])
     coef = np.asarray(coef, dtype=float)

@@ -51,9 +51,9 @@ class MollifiedCircle:
 class RadialCone:
     """Hoelder-type cone: f(x) = max(1 - |x|, 0) ** beta.
 
-    With non-integer beta the radial profile has a fractional-order kink at
-    the origin (and another where the support meets |x| = 1), so f is C^1 but
-    not C^2 for beta in (1, 2).
+    The tip is a first-order kink (f ~ 1 - beta |x| near 0), so f is not C^1
+    at the origin.  Where the support meets |x| = 1 the radial profile
+    (1 - r)^beta is C^{1, beta - 1} for beta in (1, 2): C^1 but not C^2.
     """
 
     beta: float = 1.8

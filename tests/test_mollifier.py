@@ -17,7 +17,8 @@ from prodmlp import (
     mollify,
     target_by_name,
 )
-from prodmlp.mollifier import write_convergence_csv
+from prodmlp.cli import main
+from prodmlp.mollifier import DEFAULT_QUAD_POINTS, write_convergence_csv
 
 SQRT_PI = 1.772453850905516  # mpmath, 40 digits
 
@@ -57,13 +58,15 @@ def test_l1_norm_is_sqrt_pi():
 
 
 def test_kernel_integrates_to_one():
-    # mollifying the constant 1 integrates the kernel itself
-    one = lambda z: np.ones(len(np.atleast_2d(z)))
-    for m in (1, 2):
+    # mollifying the constant 1 integrates the kernel itself; the per-axis
+    # trapezoid norm of the gaussian equals sqrt(pi) to rounding, so the
+    # weighted product kernel sums to 1 to rounding in every dimension
+    one = lambda z: np.ones(len(z))
+    pts = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.7]])
+    for m, q in ((1, DEFAULT_QUAD_POINTS), (2, DEFAULT_QUAD_POINTS), (2, 257), (3, 33)):
         for eps in (0.5, 0.1):
-            kern = build_kernel(GAUSSIAN_BUMP, m, eps, quad_points=257)
-            val = mollify(kern, one, np.zeros(m))
-            assert abs(val - 1.0) < 1e-6, (m, eps)
+            kern = build_kernel(GAUSSIAN_BUMP, m, eps, quad_points=q)
+            assert np.abs(mollify(kern, one, pts[:, :m]) - 1.0).max() < 1e-13, (m, q, eps)
 
 
 def test_kernel_value_peak_and_symmetry():
@@ -147,6 +150,14 @@ def test_convergence_report_errors_shrink():
     assert all(a > b for a, b in zip(sup, sup[1:]))
     assert all(a > b for a, b in zip(l2, l2[1:]))
     assert all(r.l2_error <= r.sup_error for r in rows)
+
+
+def test_cli_demo_reads_the_library_quadrature_default(capsys):
+    assert main(["mollifier-demo", "--eps", "0.4,0.2", "--grid", "1/4"]) == 0
+    buf = io.StringIO()
+    write_convergence_csv(convergence_report(GAUSSIAN_BUMP, [0.4, 0.2], target_by_name("circle"),
+                                             Grid2D(h=0.25)), buf)
+    assert capsys.readouterr().out == buf.getvalue()
 
 
 def test_convergence_report_validation():
