@@ -17,18 +17,21 @@ everything except the output location) stamps every artifact, and artifacts
 depend only on (config, seeds) -- with the single exception of the wall-clock
 seconds column in trace CSVs, which records real time.
 
-Artifacts per run, under the output directory:
+run_experiment maps the per-run step, _run, over every (architecture, seed)
+pair: it trains one run and writes its four artifacts under the output
+directory,
 
     <run_id>_trace.csv        iter,l2_error,h2_error,zygmund_error,seconds
     <run_id>_checkpoint.json  final parameters + resolved config + digest
     <run_id>_error_field.csv  x,y,value rows of |F - f| on the metric grid
     <run_id>_summary.json     initial/final metrics, localization ratio
 
-plus one experiment_summary.json with per-run summaries and per-architecture
-medians across seeds.  Final metrics and error fields read one F - f array on
-the widened metric grid: a run's, the one its last training checkpoint formed;
-eval's and export-field's, the checkpoint's parameters evaluated again.
-PRODMLP_OUTPUT_ROOT sets the base of relative output paths.
+and the reduce step then writes one experiment_summary.json with the run
+summaries and per-architecture medians across seeds.  Final metrics and
+error fields read one F - f array on the widened metric grid: a run's, the
+one its last training checkpoint formed; eval's and export-field's, the
+checkpoint's parameters evaluated again.  PRODMLP_OUTPUT_ROOT sets the base
+of relative output paths.
 """
 
 import hashlib
@@ -441,11 +444,8 @@ def run_id_for(arch: Arch, act: Activation, loss: LossSpec, seed: int) -> str:
 
 
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    path = Path(cfg.output_dir)
-    if root and not path.is_absolute():
-        path = Path(root) / path
-    return path
+    # joining an absolute output_dir keeps it as it is
+    return Path(os.environ.get(OUTPUT_ROOT_ENV, "")) / cfg.output_dir
 
 
 @dataclass
@@ -491,11 +491,8 @@ def _write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _median(values):
-    vals = [v for v in values if v is not None]
-    if len(vals) < len(list(values)) or not vals:
-        return None
-    return float(np.median(vals))
+def _median(values: list):
+    return None if None in values else float(np.median(values))
 
 
 def _check_output_dir(outdir: Path, digest: str) -> None:
@@ -513,109 +510,108 @@ def _check_output_dir(outdir: Path, digest: str) -> None:
         )
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run every (architecture, seed) combination and write all artifacts.
+def _run(cfg: ExperimentConfig, outdir: Path, arch: Arch, seed: int) -> RunRecord:
+    """The per-run step: train one run, write its four artifacts, return its
+    record.  A diverged run writes its partial trace and a flagged summary,
+    then re-raises TrainingDiverged."""
+    rid = run_id_for(arch, cfg.activation, cfg.loss, seed)
+    rec = RunRecord(
+        run_id=rid, arch=arch, seed=seed,
+        summary={"run_id": rid, "architecture": _arch_descriptor(arch),
+                 "activation": cfg.activation.name, "loss": cfg.resolved["loss"],
+                 "seed": seed},
+        trace_path=outdir / f"{rid}_trace.csv",
+        checkpoint_path=outdir / f"{rid}_checkpoint.json",
+        field_path=outdir / f"{rid}_error_field.csv",
+        summary_path=outdir / f"{rid}_summary.json",
+    )
+    try:
+        result = train(arch, cfg.activation, cfg.target, cfg.loss, cfg.train_config(seed),
+                       metrics=cfg.metrics)
+    except TrainingDiverged as e:
+        if e.trace is not None:
+            write_trace_csv(e.trace, rec.trace_path)
+        _write_json({
+            **rec.summary,
+            "status": "diverged",
+            "diverged_at_iteration": e.iteration,
+            "config_digest": cfg.digest,
+        }, rec.summary_path)
+        raise
 
-    A diverged run still writes its partial trace and a flagged summary, and
-    the whole experiment is then aborted by re-raising TrainingDiverged.
-    An output directory holding another config's experiment_summary.json is
-    refused, so two configs' artifacts never mix; the same config overwrites.
+    write_trace_csv(result.trace, rec.trace_path)
+    final, region_desc, efield = _final_summary(
+        result.final_error, result.final_report, cfg.target, cfg.metrics)
+    write_field_csv(efield, rec.field_path)
+
+    rec.summary.update({
+        "status": "ok",
+        "iterations": cfg.train.iterations,
+        "initial": _metric_dict(result.trace.rows[0]),
+        "final": final,
+        "singular_region": region_desc,
+        "near_zero_factor_weights": near_zero_factor_weights(result.params),
+        "config_digest": cfg.digest,
+    })
+    _write_json(rec.summary, rec.summary_path)
+
+    _write_json({
+        "format": CHECKPOINT_FORMAT,
+        "run_id": rid,
+        "architecture": _arch_descriptor(arch),
+        "activation": cfg.activation.name,
+        "iteration": cfg.train.iterations,
+        "seed": seed,
+        "param_layout": PARAM_LAYOUT_NOTE,
+        "params": [float(x) for x in pack_params(result.params)],
+        "config": cfg.resolved,
+        "config_digest": cfg.digest,
+    }, rec.checkpoint_path)
+    return rec
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Map the per-run step over every (architecture, seed) pair, then reduce
+    the records to experiment_summary.json: the runs and per-architecture medians.
+
+    A diverged run aborts the experiment: the summary names it beside the runs
+    before it, and TrainingDiverged is re-raised.  Another config's output
+    directory is refused, so two configs' artifacts never mix.
     """
     outdir = resolve_output_dir(cfg)
     _check_output_dir(outdir, cfg.digest)
     outdir.mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
-
-    for arch in cfg.archs:
-        for seed in cfg.seeds:
-            rid = run_id_for(arch, cfg.activation, cfg.loss, seed)
-            paths = {
-                "trace": outdir / f"{rid}_trace.csv",
-                "checkpoint": outdir / f"{rid}_checkpoint.json",
-                "field": outdir / f"{rid}_error_field.csv",
-                "summary": outdir / f"{rid}_summary.json",
-            }
-            tc = cfg.train_config(seed)
-            head = {"run_id": rid, "architecture": _arch_descriptor(arch),
-                    "activation": cfg.activation.name, "loss": cfg.resolved["loss"],
-                    "seed": seed}
-            try:
-                result = train(arch, cfg.activation, cfg.target, cfg.loss, tc,
-                               metrics=cfg.metrics)
-            except TrainingDiverged as e:
-                if e.trace is not None:
-                    write_trace_csv(e.trace, paths["trace"])
-                _write_json({
-                    **head,
-                    "status": "diverged",
-                    "diverged_at_iteration": e.iteration,
-                    "config_digest": cfg.digest,
-                }, paths["summary"])
-                _write_json({
-                    "config": cfg.resolved,
-                    "config_digest": cfg.digest,
-                    "status": "aborted",
-                    "aborted_run": rid,
-                    "diverged_at_iteration": e.iteration,
-                    "runs": [r.summary for r in records],
-                }, outdir / "experiment_summary.json")
-                raise
-
-            write_trace_csv(result.trace, paths["trace"])
-            final, region_desc, efield = _final_summary(
-                result.final_error, result.final_report, cfg.target, cfg.metrics)
-            write_field_csv(efield, paths["field"])
-
-            first = result.trace.rows[0]
-            summary = {
-                **head,
-                "status": "ok",
-                "iterations": tc.iterations,
-                "initial": _metric_dict(first),
-                "final": final,
-                "singular_region": region_desc,
-                "near_zero_factor_weights": near_zero_factor_weights(result.params),
-                "config_digest": cfg.digest,
-            }
-            _write_json(summary, paths["summary"])
-
-            _write_json({
-                "format": CHECKPOINT_FORMAT,
-                "run_id": rid,
-                "architecture": _arch_descriptor(arch),
-                "activation": cfg.activation.name,
-                "iteration": tc.iterations,
-                "seed": seed,
-                "param_layout": PARAM_LAYOUT_NOTE,
-                "params": [float(x) for x in pack_params(result.params)],
-                "config": cfg.resolved,
-                "config_digest": cfg.digest,
-            }, paths["checkpoint"])
-
-            records.append(RunRecord(
-                run_id=rid, arch=arch, seed=seed, summary=summary,
-                trace_path=paths["trace"], checkpoint_path=paths["checkpoint"],
-                field_path=paths["field"], summary_path=paths["summary"],
-            ))
-
-    medians = {}
-    for arch in cfg.archs:
-        label = _arch_label(arch)
-        group = [r.summary["final"] for r in records if r.arch == arch]
-        medians[label] = {
-            key: _median([g[key] for g in group])
-            for key in ("l2_error", "h2_error", "zygmund_error", "localization_ratio")
+    diverged = None
+    try:
+        for arch in cfg.archs:
+            for seed in cfg.seeds:
+                records.append(_run(cfg, outdir, arch, seed))
+        outcome = {"status": "ok"}
+    except TrainingDiverged as e:
+        # arch and seed still name the run that diverged
+        diverged = e
+        outcome = {
+            "status": "aborted",
+            "aborted_run": run_id_for(arch, cfg.activation, cfg.loss, seed),
+            "diverged_at_iteration": e.iteration,
         }
 
+    finals = {}
+    for r in records:
+        finals.setdefault(_arch_label(r.arch), []).append(r.summary["final"])
+    medians = {label: {key: _median([f[key] for f in group]) for key in group[0]}
+               for label, group in finals.items()}
     summary_path = outdir / "experiment_summary.json"
     _write_json({
         "config": cfg.resolved,
         "config_digest": cfg.digest,
-        "status": "ok",
+        **outcome,
         "runs": [r.summary for r in records],
-        "medians": medians,
+        **({"medians": medians} if diverged is None else {}),
     }, summary_path)
-
+    if diverged is not None:
+        raise diverged
     return ExperimentResult(output_dir=outdir, records=records,
                             medians=medians, summary_path=summary_path)
 

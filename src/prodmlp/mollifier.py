@@ -35,8 +35,9 @@ __all__ = [
 
 TAIL_CUTOFF = 1e-16
 DEFAULT_QUAD_POINTS = 129
-# batch points per mollify chunk, whose f call takes _CHUNK * quad_points^m points
-_CHUNK = 16
+# (point, quadrature node) pairs per f call in mollify, which takes
+# max(1, _PAIRS_PER_CALL // q^m) points a call: 16 at the default in 2-D
+_PAIRS_PER_CALL = 16 * DEFAULT_QUAD_POINTS**2
 
 
 def _window_radius(act: Activation) -> float:
@@ -137,12 +138,13 @@ def mollify(kern: MollifierKernel, f, x: np.ndarray):
     weighted_kernel = reduce(np.multiply.outer, [factor] * kern.m).ravel()   # (q^m,)
     z = np.stack(np.meshgrid(*([t] * kern.m), indexing="ij"), axis=-1).reshape(-1, kern.m)
 
+    chunk_size = max(1, _PAIRS_PER_CALL // len(z))
     out = np.empty(len(xb))
-    for lo in range(0, len(xb), _CHUNK):
-        chunk = xb[lo : lo + _CHUNK]
+    for lo in range(0, len(xb), chunk_size):
+        chunk = xb[lo : lo + chunk_size]
         shifted = chunk[:, None, :] - z[None, :, :]             # (c, q^m, m)
         vals = np.asarray(f(shifted.reshape(-1, kern.m)), dtype=float)
-        out[lo : lo + _CHUNK] = vals.reshape(len(chunk), -1) @ weighted_kernel
+        out[lo : lo + chunk_size] = vals.reshape(len(chunk), -1) @ weighted_kernel
     return float(out[0]) if single else out
 
 

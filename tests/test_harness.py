@@ -399,6 +399,54 @@ def test_diverged_run_writes_flagged_artifacts(tmp_path):
     assert [r.iteration for r in trace.rows] == [0]
 
 
+def _second_run_raises(monkeypatch, error):
+    """Let the first run of a matched pair train; the second raises error."""
+    from prodmlp import harness
+
+    real_train, calls = harness.train, []
+
+    def train(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise error
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", train)
+
+
+def test_aborted_summary_lists_the_finished_runs(tmp_path, monkeypatch):
+    from prodmlp import TrainingDiverged
+
+    cfg = parse_config(micro_config(tmp_path, arch={"matched_pair": 4}, seeds=[0]))
+    _second_run_raises(monkeypatch, TrainingDiverged(3, float("nan")))
+    with pytest.raises(TrainingDiverged):
+        run_experiment(cfg)
+    outdir = resolve_output_dir(cfg)
+    top = json.loads((outdir / "experiment_summary.json").read_text())
+    assert list(top) == ["config", "config_digest", "status", "aborted_run",
+                         "diverged_at_iteration", "runs"]
+    assert top["status"] == "aborted"
+    assert top["aborted_run"] == "mmlp4_gaussian_l2_seed0"
+    assert top["diverged_at_iteration"] == 3
+    first = json.loads((outdir / "mlp5_gaussian_l2_seed0_summary.json").read_text())
+    assert first["status"] == "ok"
+    assert top["runs"] == [first]
+    flagged = json.loads((outdir / "mmlp4_gaussian_l2_seed0_summary.json").read_text())
+    assert flagged["status"] == "diverged"
+    # no trace came with the exception, so none is written
+    assert not (outdir / "mmlp4_gaussian_l2_seed0_trace.csv").exists()
+
+
+def test_other_errors_write_no_experiment_summary(tmp_path, monkeypatch):
+    cfg = parse_config(micro_config(tmp_path, arch={"matched_pair": 4}, seeds=[0]))
+    _second_run_raises(monkeypatch, OSError("disk full"))
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg)
+    outdir = resolve_output_dir(cfg)
+    assert (outdir / "mlp5_gaussian_l2_seed0_summary.json").exists()
+    assert not (outdir / "experiment_summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from prodmlp import (
     GAUSSIAN_BUMP,
     TANH,
@@ -139,6 +140,19 @@ def test_mollify_batch_matches_single_points():
     batch = mollify(kern, f, pts)
     singles = np.array([mollify(kern, f, p) for p in pts])
     assert np.allclose(batch, singles, rtol=1e-14, atol=1e-15)
+
+
+def test_mollify_memory_follows_the_quadrature_size():
+    # 49^3 nodes leave room for 2 points a call, which trace 16 MiB; 16 points
+    # a call, the chunk of the 2-D default, would trace 61 MiB
+    eps = 0.3
+    kern = build_kernel(GAUSSIAN_BUMP, 3, eps, quad_points=49)
+    pts = np.random.default_rng(2).uniform(-1, 1, size=(16, 3))
+    got, peak = traced_peak(mollify, kern, lambda z: np.einsum("ij,ij->i", z, z),
+                            pts)
+    assert peak < 20 * 2**20, peak / 2**20
+    # the second moment of the normalized Gaussian product kernel is eps^2 / 2 per axis
+    assert np.abs(got - (np.sum(pts * pts, axis=1) + 1.5 * eps * eps)).max() < 1e-9
 
 
 def test_convergence_report_errors_shrink():
